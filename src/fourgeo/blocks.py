@@ -36,10 +36,7 @@ def k3_elliptic() -> ManifoldRecord:
             ("fiber", MarkedSurface(1, 0, "regular fiber")),
             ("section", MarkedSurface(0, -2, "section")),
         ),
-        sw=SWLedger(
-            LaurentPoly.one(),
-            provenance=("K3 invariant relative to the fiber class is 1",),
-        ),
+        sw=SWLedger(LaurentPoly.one()),
         log=("E2",),
     )
 

@@ -401,7 +401,7 @@ def bmy_report(record: ManifoldRecord) -> BmyReport:
     """Compare c1^2 against 9*chi_h.
 
     Numeric records report the exact ratio; symbolic records report the
-    limit ratio (leading coefficient quotient) and the eventual side.
+    limit ratio and the eventual side, and raise when the limit is infinite.
     """
     chi = record.chi_h
     c1 = record.c1sq
@@ -412,7 +412,13 @@ def bmy_report(record: ManifoldRecord) -> BmyReport:
         c1_p = c1 if isinstance(c1, Poly) else Poly.const(c1)
         if chi_p.is_zero():
             raise ValueError("ratio undefined: chi_h = 0")
-        ratio = c1_p.leading_coefficient / chi_p.leading_coefficient
+        if c1_p.degree > chi_p.degree:
+            raise ValueError(
+                "no finite limit of c1^2/chi_h: "
+                f"deg c1^2 = {c1_p.degree} > deg chi_h = {chi_p.degree}"
+            )
+        # 0 when c1^2 has the lower degree
+        ratio = c1_p.coefficient(chi_p.degree) / chi_p.leading_coefficient
         gap_p = gap if isinstance(gap, Poly) else Poly.const(gap)
         lead = gap_p.leading_coefficient
         side = "on" if gap_p.is_zero() else ("below" if lead > 0 else "above")

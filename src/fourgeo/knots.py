@@ -1,16 +1,18 @@
 """Fibered-knot catalog, Alexander polynomials, and the knot-surgery ledger.
 
 The Seiberg-Witten bookkeeping here is deliberately minimal: an SWLedger is
-a single Laurent polynomial in t, the invariant relative to one
-distinguished square-zero torus class.  Knot surgery along that torus
-multiplies the ledger by Delta_K(t^2), the Fintushel-Stern rule; that is all
-an "infinitely many smooth structures" argument needs, since distinct
+the invariant relative to one distinguished square-zero torus class, a
+Laurent polynomial in t.  Knot surgery along that torus multiplies the
+ledger by Delta_K(t^2), the Fintushel-Stern rule; that is all an
+"infinitely many smooth structures" argument needs, since distinct
 Alexander polynomials then give pairwise-distinct ledgers.
 
-Knots whose Alexander polynomial would be astronomically large (the genus
-of the gluing surface grows like 3n^5) are carried with a concrete
-descriptor but no materialized polynomial; surgery with such a knot records
-the Delta factor symbolically in the ledger instead of expanding it.
+The ledger is kept factored: a base value and the tuple of knots surgered
+in.  Knot surgery appends the knot and expands nothing, and a torus knot
+builds and validates its Alexander polynomial the first time it is read.
+Only printing and comparing a ledger expand it, and only for knots of genus
+up to ALEXANDER_GENUS_CAP; a larger or symbolic genus (the gluing genus
+grows like 3n^5) prints as a Delta[...](t^2) factor and cannot be compared.
 """
 
 from __future__ import annotations
@@ -18,12 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import LaurentPoly, Poly, Scalar, as_scalar, is_monic_symmetric, scalar_str
-from .calculus import ManifoldRecord, MarkedSurface, UNKNOWN, declared_false
+from .calculus import ManifoldRecord, MarkedSurface, UNKNOWN, _require_count, declared_false
 
-#: Largest genus for which find_fibered_knot_of_genus materializes the
-#: Alexander polynomial (support size ~2g); beyond it the factor is deferred.
+#: Largest knot genus whose Delta_K(t^2) factor a ledger expands when it is
+#: printed or compared (support size ~4g); larger genera stay factored.
 ALEXANDER_GENUS_CAP = 50_000
 
 
@@ -32,33 +35,41 @@ class Knot:
     """A knot in the 3-sphere, described just closely enough for surgery:
     genus, Alexander polynomial, and whether it is fibered.
 
-    alexander may be None for a knot whose polynomial is deliberately not
-    materialized (symbolic genus, or genus above ALEXANDER_GENUS_CAP).
+    polynomial is the Alexander polynomial, validated on construction; or
+    the (p, q) type of a torus knot, whose polynomial is built and validated
+    when `alexander` is first read; or None when the genus is symbolic.
     """
 
     descriptor: str
     genus: Scalar
-    alexander: LaurentPoly | None
+    polynomial: LaurentPoly | tuple[int, int] | None
     fibered: bool
 
     def __post_init__(self):
         object.__setattr__(self, "genus", as_scalar(self.genus))
-        g = self.genus
-        if isinstance(g, Fraction) and (g.denominator != 1 or g < 0):
-            raise ValueError(f"knot genus must be a nonnegative integer, got {g}")
-        a = self.alexander
-        if a is not None:
-            if a.is_zero():
-                raise ValueError("Alexander polynomial cannot be zero")
-            if not a.is_symmetric():
-                raise ValueError(f"Alexander polynomial must satisfy D(t) = D(1/t): {a}")
-            if a(1) not in (1, -1):
-                raise ValueError(f"Alexander polynomial must have D(1) = +-1: {a}")
-            if self.fibered and not is_monic_symmetric(a):
-                raise ValueError(f"fibered knot needs a monic Alexander polynomial: {a}")
+        _require_count(self.genus, "knot genus")
+        if isinstance(self.polynomial, LaurentPoly):
+            self.alexander  # a given polynomial is validated at once
+
+    @cached_property
+    def alexander(self) -> LaurentPoly:
+        a = self.polynomial
+        if a is None:
+            raise ValueError(f"no Alexander polynomial at symbolic genus: {self.descriptor}")
+        if isinstance(a, tuple):
+            a = torus_knot_alexander(*a)
+        if a.is_zero():
+            raise ValueError("Alexander polynomial cannot be zero")
+        if not a.is_symmetric():
+            raise ValueError(f"Alexander polynomial must satisfy D(t) = D(1/t): {a}")
+        if sum(c for _, c in a.terms) not in (1, -1):
+            raise ValueError(f"Alexander polynomial must have D(1) = +-1: {a}")
+        if self.fibered and not is_monic_symmetric(a):
+            raise ValueError(f"fibered knot needs a monic Alexander polynomial: {a}")
+        return a
 
     def is_trivial(self) -> bool:
-        return self.alexander is not None and self.alexander == LaurentPoly.one()
+        return self.alexander == LaurentPoly.one()
 
 
 def _divide_by_t_power_minus_1(coeffs: list[int], k: int) -> list[int]:
@@ -101,8 +112,7 @@ def torus_knot(p: int, q: int) -> Knot:
         raise ValueError(f"torus knot parameters must be integers >= 2, got ({p}, {q})")
     if math.gcd(p, q) != 1:
         raise ValueError(f"not a knot: gcd({p}, {q}) != 1")
-    genus = (p - 1) * (q - 1) // 2
-    return Knot(f"torus({p},{q})", genus, torus_knot_alexander(p, q), fibered=True)
+    return Knot(f"torus({p},{q})", (p - 1) * (q - 1) // 2, (p, q), fibered=True)
 
 
 def unknot() -> Knot:
@@ -113,20 +123,16 @@ def find_fibered_knot_of_genus(genus) -> Knot:
     """A fibered knot of the requested genus: the (2, 2g+1) torus knot.
 
     genus 0 returns the unknot.  A polynomial genus (symbolic construction
-    parameter) or a genus above ALEXANDER_GENUS_CAP yields a knot with the
-    Alexander polynomial left unmaterialized.
+    parameter) must be integer-valued and nonnegative for n >= 2; it yields
+    a knot with no Alexander polynomial, which ledgers carry as a factor.
     """
     genus = as_scalar(genus)
     if isinstance(genus, Poly):
         return Knot(f"torus(2, 2*({scalar_str(genus)})+1)", genus, None, fibered=True)
-    if genus.denominator != 1 or genus < 0:
-        raise ValueError(f"knot genus must be a nonnegative integer, got {genus}")
-    g = int(genus)
-    if g == 0:
+    _require_count(genus, "knot genus")
+    if genus == 0:
         return unknot()
-    if g > ALEXANDER_GENUS_CAP:
-        return Knot(f"torus(2,{2 * g + 1})", g, None, fibered=True)
-    return torus_knot(2, 2 * g + 1)
+    return torus_knot(2, 2 * int(genus) + 1)
 
 
 def twist_knot(m: int) -> Knot:
@@ -148,22 +154,27 @@ def nonfibered_nonmonic_family(count: int) -> list[Knot]:
 
 @dataclass(frozen=True)
 class SWLedger:
-    """Seiberg-Witten invariant relative to one distinguished torus class.
-
-    value holds the materialized Laurent polynomial; deferred lists factor
-    descriptions that were not expanded (the true ledger is value times all
-    deferred factors, each of which is nonzero).
+    """Seiberg-Witten invariant relative to one distinguished torus class,
+    in factored form: value times Delta_K(t^2) for every knot K in knots.
     """
 
     value: LaurentPoly
-    deferred: tuple[str, ...] = ()
-    provenance: tuple[str, ...] = ()
+    knots: tuple[Knot, ...] = ()
+
+    def expand(self) -> tuple[LaurentPoly, tuple[Knot, ...]]:
+        """value times every factor of genus up to ALEXANDER_GENUS_CAP, and
+        the knots whose factors (larger or symbolic genus) stay unexpanded."""
+        value, factored = self.value, ()
+        for knot in self.knots:
+            if isinstance(knot.genus, Fraction) and knot.genus <= ALEXANDER_GENUS_CAP:
+                value = value * knot.alexander.substitute_square()
+            else:
+                factored += (knot,)
+        return value, factored
 
     def __str__(self):
-        s = str(self.value)
-        for factor in self.deferred:
-            s += f" * {factor}"
-        return s
+        value, factored = self.expand()
+        return " * ".join([str(value)] + [f"Delta[{k.descriptor}](t^2)" for k in factored])
 
 
 def knot_surgery(
@@ -174,12 +185,13 @@ def knot_surgery(
 ) -> ManifoldRecord:
     """Fintushel-Stern knot surgery along a designated square-zero torus.
 
-    (e, sigma) are unchanged; the ledger is multiplied by Delta_K(t^2).  The
-    symplectic flag survives iff the knot is fibered; surgery along a
-    non-fibered knot with non-monic Alexander polynomial is declared
-    non-symplectic.  If sum_target names a marked surface, that surface
-    absorbs the knot fiber: its genus grows by the knot genus (the internal
-    sum used to build gluing surfaces of prescribed genus).
+    (e, sigma) are unchanged; the ledger gains the factor Delta_K(t^2),
+    recorded as the knot, unexpanded.  The symplectic flag survives iff the
+    knot is fibered; surgery along a non-fibered knot with non-monic
+    Alexander polynomial is declared non-symplectic.  If sum_target names a
+    marked surface, that surface absorbs the knot fiber: its genus grows by
+    the knot genus (the internal sum used to build gluing surfaces of
+    prescribed genus).
     """
     if record.sw is None:
         raise ValueError("knot surgery needs a Seiberg-Witten ledger on the record")
@@ -189,23 +201,11 @@ def knot_surgery(
     if as_scalar(t.genus) != 1 or as_scalar(t.self_int) != 0:
         raise ValueError(f"surgery torus must have genus 1 and square 0, got {t}")
 
-    if knot.alexander is None:
-        sw = SWLedger(
-            record.sw.value,
-            record.sw.deferred + (f"Delta[{knot.descriptor}](t^2)",),
-            record.sw.provenance
-            + (f"times Delta[{knot.descriptor}](t^2), Fintushel-Stern rule (not expanded)",),
-        )
-    else:
-        sw = SWLedger(
-            record.sw.value * knot.alexander.substitute_square(),
-            record.sw.deferred,
-            record.sw.provenance + (f"times Delta[{knot.descriptor}](t^2), Fintushel-Stern rule",),
-        )
+    sw = replace(record.sw, knots=record.sw.knots + (knot,))
 
     if knot.fibered:
         symplectic = record.symplectic
-    elif knot.alexander is not None and not is_monic_symmetric(knot.alexander):
+    elif not is_monic_symmetric(knot.alexander):
         symplectic = declared_false(
             "knot surgery along a non-fibered knot with non-monic Alexander polynomial"
         )
@@ -256,14 +256,16 @@ def distinguish_family(
     """
     entries = []
     for knot in knots:
-        if knot.alexander is None:
-            raise ValueError(f"cannot compare an unexpanded Alexander polynomial: {knot.descriptor}")
-        surgered = knot_surgery(base, knot, torus=torus)
+        sw, factored = knot_surgery(base, knot, torus=torus).sw.expand()
+        if factored:
+            raise ValueError(
+                f"cannot compare an unexpanded Alexander polynomial: {factored[0].descriptor}"
+            )
         note = "trivial Alexander polynomial, no exotic pair" if knot.is_trivial() else ""
         entries.append(
             FamilyEntry(
                 knot.descriptor,
-                surgered.sw.value,
+                sw,
                 monic=is_monic_symmetric(knot.alexander),
                 symplectic_candidate=knot.fibered,
                 note=note,

@@ -34,7 +34,6 @@ from . import blocks
 from .algebra import (
     N,
     LaurentPoly,
-    Poly,
     Scalar,
     as_scalar,
     format_decimal,
@@ -182,9 +181,12 @@ def gluing_genus(v: Scalar) -> Scalar:
 def build_gluing_surface(n: int | None = None) -> MarkedSurface:
     """Resolution of two transverse regular fibers of the cover block
     (n^3 intersection points): genus 3n^5 - 3n^4 + n^3 + 1, square 2n^3."""
-    v = parameter(n)
-    fiber = build_cover_block(n).manifold.surface("fiber")
-    surface = resolve_surfaces(fiber, fiber, v**3, name="gluing surface")
+    return _gluing_surface(build_cover_block(n), parameter(n))
+
+
+def _gluing_surface(cover: PipelineReport, v: Scalar) -> MarkedSurface:
+    fiber = cover.manifold.surface("fiber")
+    surface = resolve_surfaces(fiber, fiber, cover.intersections, name="gluing surface")
     checks = [
         _check("gluing surface: genus", gluing_genus(v), surface.genus),
         _check("gluing surface: self-intersection", 2 * v**3, surface.self_int),
@@ -207,8 +209,7 @@ def build_k3_block(n: int | None = None) -> PipelineReport:
     section = surface_blowup(record.surface("section"), k)
     record = record.with_surface("section", section)
 
-    g = gluing_genus(v)
-    knot = find_fibered_knot_of_genus(g if isinstance(g, Poly) else int(g))
+    knot = find_fibered_knot_of_genus(gluing_genus(v))
     record = knot_surgery(record, knot, torus="fiber", sum_target="section")
     record = replace(
         record,
@@ -245,7 +246,7 @@ def build_family(n: int | None = None) -> PipelineReport:
     surfaces of genus 3n^5 - 3n^4 + n^3 + 1 and squares +-2n^3."""
     v = parameter(n)
     cover = build_cover_block(n)
-    gluing = build_gluing_surface(n)
+    gluing = _gluing_surface(cover, v)
     k3 = build_k3_block(n)
 
     glued = fiber_sum(
@@ -428,23 +429,13 @@ def exotic_family(n: int, count: int) -> ExoticReport:
     half monic (symplectic candidates), the twist half non-monic.
 
     The surgeries run along the square-zero torus in the K3-block complement
-    that the construction never touches; the fresh ledger relative to that
-    class is declared nonzero and normalized to 1.
+    that the construction never touches (assumed intact through it); the
+    fresh ledger relative to that class is declared nonzero, as the base is
+    symplectic, and normalized to 1.
     """
     if not isinstance(count, int) or count < 1:
         raise ValueError(f"count must be a positive integer, got {count}")
-    base = build_family(n).manifold
-    base = replace(
-        base,
-        sw=SWLedger(
-            LaurentPoly.one(),
-            provenance=(
-                "ledger relative to the surviving square-zero torus in the "
-                "K3-block complement (assumed intact through the construction); "
-                "nonzero for the symplectic base, normalized to 1",
-            ),
-        ),
-    )
+    base = replace(build_family(n).manifold, sw=SWLedger(LaurentPoly.one()))
     base = base.with_surface(
         "surviving torus", MarkedSurface(1, 0, "torus in the K3-block complement")
     )

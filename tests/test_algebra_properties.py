@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from fourgeo.algebra import LaurentPoly, Poly, integer_valued
 
-coefficients = st.fractions(
-    min_value=-50, max_value=50, max_denominator=12
+# Fractions in [-50, 50] with denominator at most 12, built from integer
+# pairs: far cheaper to generate than st.fractions with the same range.
+coefficients = st.integers(min_value=1, max_value=12).flatmap(
+    lambda d: st.integers(min_value=-50 * d, max_value=50 * d).map(lambda k: Fraction(k, d))
 )
 
 polys = st.lists(coefficients, max_size=7).map(lambda cs: Poly(tuple(cs)))

@@ -225,6 +225,23 @@ def test_bmy_equality_point():
     assert report.side == "on"
 
 
+def test_bmy_symbolic_limit_is_zero_when_c1sq_has_lower_degree():
+    # chi_h = n^3, c1^2 = n^2: the ratio tends to 0, not to 1/1
+    m = make_manifold(12 * N**3 - N**2, N**2 - 8 * N**3)
+    assert (m.chi_h, m.c1sq) == (N**3, N**2)
+    report = bmy_report(m)
+    assert report.ratio == 0
+    assert report.side == "below"
+
+
+def test_bmy_symbolic_rejects_c1sq_of_higher_degree():
+    # chi_h = n^2, c1^2 = 3n^3 + 8n^2: no finite limit (was reported as 3, "above")
+    m = make_manifold(4 * N**2 - 3 * N**3, 3 * N**3)
+    assert (m.chi_h, m.c1sq) == (N**2, 3 * N**3 + 8 * N**2)
+    with pytest.raises(ValueError, match="deg c1\\^2 = 3 > deg chi_h = 2"):
+        bmy_report(m)
+
+
 def test_bmy_undefined_for_zero_chi():
     with pytest.raises(ValueError):
         bmy_report(make_manifold(4, -4))

@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
+from fourgeo import knots
 from fourgeo.algebra import N, LaurentPoly, is_monic_symmetric
 from fourgeo.blocks import k3_elliptic
 from fourgeo.calculus import MarkedSurface, blow_up, surface_blowup
@@ -78,10 +81,39 @@ def test_find_fibered_knot_of_genus():
 
 def test_find_fibered_knot_defers_large_and_symbolic():
     big = find_fibered_knot_of_genus(ALEXANDER_GENUS_CAP + 1)
-    assert big.alexander is None and big.fibered
+    assert big.descriptor == f"torus(2,{2 * ALEXANDER_GENUS_CAP + 3})"
+    assert big.genus == ALEXANDER_GENUS_CAP + 1 and big.fibered
+    assert "alexander" not in vars(big)  # built on first read only
     symbolic = find_fibered_knot_of_genus(3 * N**5 - 3 * N**4 + N**3 + 1)
-    assert symbolic.alexander is None
     assert symbolic.genus == 3 * N**5 - 3 * N**4 + N**3 + 1
+    assert symbolic.fibered
+    with pytest.raises(ValueError, match="symbolic genus"):
+        symbolic.alexander
+
+
+def test_find_fibered_knot_checks_symbolic_genus():
+    with pytest.raises(ValueError, match="integer-valued"):
+        find_fibered_knot_of_genus(N / 2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        find_fibered_knot_of_genus(N - 5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        find_fibered_knot_of_genus(Fraction(1, 2))
+
+
+def test_torus_knot_polynomial_validated_when_materialized(monkeypatch):
+    # torus_knot defers its polynomial; whatever is built on first read
+    # goes through every check a given polynomial does.
+    bad = {
+        "cannot be zero": LaurentPoly.zero(),
+        "D\\(t\\) = D\\(1/t\\)": LaurentPoly({1: 1, 0: -1}),
+        "D\\(1\\) = \\+-1": LaurentPoly({1: 1, 0: 1, -1: 1}),
+        "monic": LaurentPoly({1: 2, 0: -3, -1: 2}),
+    }
+    for message, poly in bad.items():
+        monkeypatch.setattr(knots, "torus_knot_alexander", lambda p, q, poly=poly: poly)
+        knot = torus_knot(2, 7)
+        with pytest.raises(ValueError, match=message):
+            knot.alexander
 
 
 def test_twist_family():
@@ -107,12 +139,12 @@ def test_knot_surgery_unknot_is_identity():
     base = k3_elliptic()
     after = knot_surgery(base, unknot())
     assert after.e == base.e and after.sigma == base.sigma
-    assert after.sw.value == base.sw.value
+    assert after.sw.expand() == base.sw.expand() == (LaurentPoly.one(), ())
 
 
 def test_knot_surgery_trefoil_ledger():
     after = knot_surgery(k3_elliptic(), torus_knot(2, 3))
-    assert after.sw.value == LaurentPoly({2: 1, 0: -1, -2: 1})
+    assert after.sw.expand() == (LaurentPoly({2: 1, 0: -1, -2: 1}), ())
     assert after.symplectic.is_true()
 
 
@@ -159,8 +191,12 @@ def test_knot_surgery_with_deferred_polynomial():
     symbolic_knot = find_fibered_knot_of_genus(3 * N**5 - 3 * N**4 + N**3 + 1)
     after = knot_surgery(k3_elliptic(), symbolic_knot)
     assert after.sw.value == LaurentPoly.one()
-    assert len(after.sw.deferred) == 1
-    assert "Delta" in str(after.sw)
+    assert after.sw.knots == (symbolic_knot,)
+    assert str(after.sw) == "1 * Delta[torus(2, 2*(3*n^5 - 3*n^4 + n^3 + 1)+1)](t^2)"
+    assert after.sw.expand() == (LaurentPoly.one(), (symbolic_knot,))
+    with pytest.raises(ValueError, match="unexpanded"):
+        distinguish_family(k3_elliptic(), [symbolic_knot])
+    assert after.symplectic.is_true()
 
 
 def test_distinguish_family_torus_knots():
@@ -196,5 +232,15 @@ def test_torus_knot_family_distinct_up_to_100():
 
 
 def test_ledger_string_shows_deferred():
-    ledger = SWLedger(LaurentPoly.one(), deferred=("Delta[torus(2,7)](t^2)",))
-    assert str(ledger) == "1 * Delta[torus(2,7)](t^2)"
+    big = find_fibered_knot_of_genus(ALEXANDER_GENUS_CAP + 1)
+    ledger = SWLedger(LaurentPoly.one(), knots=(big,))
+    assert str(ledger) == f"1 * Delta[torus(2,{2 * ALEXANDER_GENUS_CAP + 3})](t^2)"
+    mixed = SWLedger(LaurentPoly.one(), knots=(torus_knot(2, 3), big, torus_knot(2, 5)))
+    assert str(mixed) == (
+        "t^6 - 2*t^4 + 3*t^2 - 3 + 3*t^-2 - 2*t^-4 + t^-6"
+        f" * Delta[torus(2,{2 * ALEXANDER_GENUS_CAP + 3})](t^2)"
+    )
+    at_cap = SWLedger(LaurentPoly.one(), knots=(find_fibered_knot_of_genus(ALEXANDER_GENUS_CAP),))
+    value, factored = at_cap.expand()
+    assert factored == () and value.span() == 4 * ALEXANDER_GENUS_CAP
+    assert str(at_cap) == str(value)

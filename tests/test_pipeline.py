@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from fourgeo.algebra import N, integer_valued, scalar_eval
+from fourgeo.algebra import N, LaurentPoly, integer_valued, scalar_eval
 from fourgeo.calculus import bmy_report
+from fourgeo.knots import distinguish_family, unknot
 from fourgeo.pipeline import (
     build_cover_block,
     build_family,
@@ -11,6 +12,7 @@ from fourgeo.pipeline import (
     build_k3_block,
     exotic_family,
     family_targets,
+    gluing_genus,
     verify_formulas,
 )
 
@@ -83,9 +85,25 @@ def test_k3_block_numeric():
 
 
 def test_k3_block_ledger_materializes_only_at_small_n():
-    assert build_k3_block(2).manifold.sw.deferred == ()
-    assert build_k3_block(2).manifold.sw.value.span() == 4 * 57
-    assert build_k3_block(20).manifold.sw.deferred != ()
+    # Knot surgery records the knot without expanding its polynomial; the
+    # ledger expands on print and compare, up to ALEXANDER_GENUS_CAP.
+    sw2 = build_k3_block(2).manifold.sw
+    (knot2,) = sw2.knots
+    assert knot2.descriptor == "torus(2,115)"
+    assert "alexander" not in vars(knot2)
+    value, factored = sw2.expand()
+    assert factored == () and value.span() == 4 * 57
+    assert str(sw2) == str(value)
+
+    k3_20 = build_k3_block(20).manifold
+    sw20 = k3_20.sw
+    (knot20,) = sw20.knots
+    assert knot20.genus == gluing_genus(20) == 9128001
+    assert str(sw20) == "1 * Delta[torus(2,18256003)](t^2)"
+    assert sw20.expand() == (LaurentPoly.one(), (knot20,))
+    with pytest.raises(ValueError, match="unexpanded Alexander polynomial: torus"):
+        distinguish_family(k3_20, [unknot()])
+    assert "alexander" not in vars(knot20)
 
 
 def test_family_symbolic_formulas():
