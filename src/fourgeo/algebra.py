@@ -24,9 +24,11 @@ All values are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from functools import cached_property
+from typing import Iterable, Mapping, Sequence, Union
 
 Rational = Fraction
 
@@ -203,13 +205,46 @@ class Poly:
             r = r - t * o
         return q, r
 
+    @cached_property
+    def integer_form(self) -> tuple[tuple[int, ...], int]:
+        """(nums, den): den is the least common denominator of the
+        coefficients and nums the integer coefficients of den * p, from the
+        leading one down.  Evaluation and the Newton table work on these."""
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        return tuple(c.numerator * (den // c.denominator) for c in reversed(self.coeffs)), den
+
+    @cached_property
+    def newton_table(self) -> tuple[tuple[int, ...], int]:
+        """Forward differences at n = 2 over one common denominator.
+
+        Returns (diffs, den), den as in integer_form and diffs[k] =
+        den * D^k p(2) for k = 0..deg p (the zero polynomial gives
+        ((0,), 1)).  Since p(2 + m) = sum_k D^k p(2) * C(m, k) for every
+        integer m, this one table decides integer-valuedness on Z and
+        settles the sign of p on n >= 2 whenever diffs[1:] are all
+        nonnegative.  Computed by Horner on the integer numerators.
+        """
+        nums, den = self.integer_form
+        values = [_horner(nums, x) for x in range(2, 3 + max(self.degree, 0))]
+        diffs = []
+        while values:
+            diffs.append(values[0])
+            values = [b - a for a, b in zip(values, values[1:])]
+        return tuple(diffs), den
+
     def __call__(self, x) -> Fraction:
-        """Exact evaluation at a rational point (Horner)."""
+        """Exact evaluation at a rational point x = a/b: homogeneous Horner on
+        the integer form, sum of nums[i] * a^(d-i) * b^i over den * b^d."""
         x = _to_fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        nums, den = self.integer_form
+        if not nums:
+            return Fraction(0)
+        a, b = x.numerator, x.denominator
+        acc, scale = 0, 1
+        for c in nums:
+            acc = acc * a + c * scale
+            scale *= b
+        return Fraction(acc, den * (scale // b))
 
     # -- comparison / display ----------------------------------------------
 
@@ -289,18 +324,84 @@ def integer_valued(p: Scalar) -> bool:
     """True iff p(k) is an integer for every integer k.
 
     Decided exactly through the Newton (binomial) basis: p is integer-valued
-    on all of Z iff every iterated forward difference of p at 0, up to the
+    on all of Z iff every iterated forward difference of p at 2, up to the
     degree, is an integer.  This is total, no sampling involved.
     """
     p = as_scalar(p)
     if isinstance(p, Fraction):
         return p.denominator == 1
-    values = [p(k) for k in range(p.degree + 1)] or [Fraction(0)]
-    while values:
-        if values[0].denominator != 1:
+    diffs, den = p.newton_table
+    return all(d % den == 0 for d in diffs)
+
+
+def at_least(p: Scalar, bound: int) -> bool:
+    """True iff p(n) >= bound for every integer n >= 2, decided exactly.
+
+    The Newton table at 2 settles it when p(2) >= bound and every higher
+    difference is nonnegative.  Otherwise the real roots of q = den*(p - bound)
+    above 2 are isolated by Descartes' rule of signs with bisection on
+    integer intervals up to a Cauchy root bound, down to unit width, and p is
+    evaluated at the interval endpoints: an integer n with p(n) < bound lies
+    between two roots, so it is an endpoint, or interior to an interval
+    with no root, where one interior value gives the sign of all.
+    """
+    p = as_scalar(p)
+    if isinstance(p, Fraction):
+        return p >= bound
+    diffs, den = p.newton_table
+    if diffs[0] < bound * den:
+        return False
+    if all(d >= 0 for d in diffs[1:]):
+        return True
+    q = list(p.integer_form[0][::-1])  # ascending
+    q[0] -= bound * den
+    lead = q[-1]
+    if lead < 0:
+        return False
+    top = 2 + max(abs(c) for c in q[:-1]) // lead  # every real root is below this
+    stack = [(2, top)]
+    while stack:
+        a, b = stack.pop()
+        if b - a < 2:
+            continue
+        if _sign_variations(_interval_transform(q, a, b - a)) == 0:
+            if p(a + 1) < bound:
+                return False
+            continue
+        m = (a + b) // 2
+        if p(m) < bound:
             return False
-        values = [b - a for a, b in zip(values, values[1:])]
+        stack += [(a, m), (m, b)]
     return True
+
+
+def _horner(nums: Sequence[int], x: int) -> int:
+    # nums from the leading coefficient down
+    acc = 0
+    for c in nums:
+        acc = acc * x + c
+    return acc
+
+
+def _taylor_shift(cs: list[int], a: int) -> list[int]:
+    # ascending coefficients of c(x + a), given those of c(x)
+    cs = list(cs)
+    for i in range(len(cs) - 1):
+        for j in range(len(cs) - 2, i - 1, -1):
+            cs[j] += a * cs[j + 1]
+    return cs
+
+
+def _interval_transform(q: list[int], a: int, w: int) -> list[int]:
+    # (1 + x)^d * q(a + w/(1 + x)): its positive roots are the images of the
+    # roots of q in (a, a + w), so Descartes' rule bounds their number.
+    r = [c * w**i for i, c in enumerate(_taylor_shift(q, a))]
+    return _taylor_shift(r[::-1], 1)
+
+
+def _sign_variations(cs: list[int]) -> int:
+    signs = [c > 0 for c in cs if c]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,11 @@ The operations below (blow-up, branched cover, surface resolution, fiber
 sum, ...) are pure functions from records to records.  Records are immutable;
 each operation appends a one-line descriptor to the provenance log.
 
+Point counts, sheet counts and genera must be (non)negative integers.  In
+symbolic mode that is decided exactly for every integer n >= 2, not at
+sample points, so a symbolic build that succeeds proves every such check
+that the numeric build at any n >= 2 would run.
+
 Fundamental-group information is never computed.  Simple-connectivity (and
 the symplectic property) are *declared* tri-state attributes carrying the
 textual justification supplied by whoever asserted them.
@@ -27,6 +32,7 @@ from .algebra import (
     Poly,
     Scalar,
     as_scalar,
+    at_least,
     divide_exact,
     integer_valued,
     scalar_str,
@@ -34,11 +40,6 @@ from .algebra import (
 
 if TYPE_CHECKING:
     from .knots import SWLedger
-
-#: Sample range used to sanity-check symbolic count arguments (the working
-#: range of the constructions starts at n = 2).
-_SYMBOLIC_SAMPLE = range(2, 11)
-
 
 @dataclass(frozen=True)
 class Declared:
@@ -82,9 +83,7 @@ class MarkedSurface:
     def __post_init__(self):
         object.__setattr__(self, "genus", as_scalar(self.genus))
         object.__setattr__(self, "self_int", as_scalar(self.self_int))
-        g = self.genus
-        if isinstance(g, Fraction) and (g.denominator != 1 or g < 0):
-            raise ValueError(f"surface genus must be a nonnegative integer, got {g}")
+        _require_count(self.genus, "surface genus")
 
     def euler(self) -> Scalar:
         return 2 - 2 * self.genus
@@ -190,21 +189,23 @@ def make_manifold(e, sigma) -> ManifoldRecord:
 
 
 def _require_count(k: Scalar, what: str, positive: bool = False) -> None:
-    """Validate a point/sheet count: a (non)negative integer at numeric n.
+    """Validate a count or genus: a (non)negative integer at numeric n.
 
-    Symbolic counts are required to be integer-valued with the right sign on
-    the working range n >= 2 (sampled) and a nonneg leading coefficient.
+    A symbolic one must be integer-valued on Z and (non)negative at every
+    integer n >= 2, both decided exactly from its Newton table at n = 2
+    (algebra.at_least falls back to exact root isolation when the table
+    leaves the sign open).  So a symbolic build that passes proves the same
+    check at every numeric n >= 2.
     """
     bound = 1 if positive else 0
+    kind = "positive" if positive else "nonnegative"
     if isinstance(k, Fraction):
         if k.denominator != 1 or k < bound:
-            kind = "positive" if positive else "nonnegative"
             raise ValueError(f"{what} must be a {kind} integer, got {k}")
         return
     if not integer_valued(k):
         raise ValueError(f"{what} must be integer-valued, got {scalar_str(k)}")
-    if k.leading_coefficient < 0 or any(k(j) < bound for j in _SYMBOLIC_SAMPLE):
-        kind = "positive" if positive else "nonnegative"
+    if not at_least(k, bound):
         raise ValueError(f"{what} must be {kind} for n >= 2, got {scalar_str(k)}")
 
 
@@ -317,6 +318,10 @@ def genus_from_euler(e) -> Scalar:
     elif not integer_valued(g):
         raise ValueError(
             f"genus undefined: Euler characteristic {scalar_str(e)} is odd at some integers"
+        )
+    elif not at_least(g, 0):
+        raise ValueError(
+            f"genus undefined: Euler characteristic {scalar_str(e)} exceeds 2 at some n >= 2"
         )
     return g
 

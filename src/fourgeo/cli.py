@@ -72,6 +72,10 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.n_max < 4:
+        print("error: --n-max must be at least 4 (the checks read the n = 3, 4 table "
+              "and the climb of the ratio from n = 3)", file=sys.stderr)
+        return 2
     checks = verify_formulas(n_max=args.n_max)
     if args.json:
         payload = [
@@ -106,14 +110,18 @@ def _cmd_geography(args) -> int:
         return 2
     rows = geography.scan(args.n_min, args.n_max)
     csv_text = geography.render_csv(rows)
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            fh.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
-    if args.svg:
-        with open(args.svg, "w", encoding="utf-8", newline="") as fh:
-            fh.write(geography.render_svg(rows))
+    try:
+        if args.csv:
+            with open(args.csv, "w", encoding="utf-8", newline="") as fh:
+                fh.write(csv_text)
+        else:
+            sys.stdout.write(csv_text)
+        if args.svg:
+            with open(args.svg, "w", encoding="utf-8", newline="") as fh:
+                fh.write(geography.render_svg(rows))
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -1,5 +1,9 @@
 """Geography scans: (chi_h, c1^2) rows for the glued family, CSV and SVG.
 
+A scan builds the family once, symbolically; that build runs every check a
+numeric build runs, exactly for all n >= 2.  Each row is then the record
+(e(n), sigma(n)) of the symbolic family evaluated at n.
+
 Output is text assembled by hand so that identical inputs give byte-identical
 files: LF line endings, fixed column order, exact integers (or p/q) in every
 column except the 6-decimal ratio, coordinates derived by exact rational
@@ -11,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import as_scalar, format_decimal, scalar_str
-from .calculus import bmy_report
-from .pipeline import build_family
+from .algebra import format_decimal, scalar_str
+from .calculus import ManifoldRecord, bmy_report
+from .pipeline import build_family, parameter
 
 CSV_HEADER = "n,e,sigma,c1sq,chi_h,ratio,bmy_gap,side"
 
@@ -45,22 +49,25 @@ class GeographyRow:
 
 
 def scan(n_min: int, n_max: int) -> list[GeographyRow]:
-    """Build the family for each n in [n_min, n_max] and collect the rows."""
+    """Build the family once, symbolically, and evaluate it at each n in
+    [n_min, n_max]; bmy_report gives each row its ratio, gap and side."""
+    parameter(n_min)  # an integer >= 2, or ValueError
     if n_min > n_max:
         raise ValueError(f"empty range: {n_min} > {n_max}")
+    family = build_family().manifold
     rows = []
     for n in range(n_min, n_max + 1):
-        record = build_family(n).manifold
+        record = ManifoldRecord(family.e(n), family.sigma(n))
         report = bmy_report(record)
         rows.append(
             GeographyRow(
                 n,
-                as_scalar(record.e),
-                as_scalar(record.sigma),
-                as_scalar(record.c1sq),
-                as_scalar(record.chi_h),
+                record.e,
+                record.sigma,
+                record.c1sq,
+                record.chi_h,
                 report.ratio,
-                as_scalar(report.gap),
+                report.gap,
                 report.side,
             )
         )

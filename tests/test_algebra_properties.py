@@ -1,12 +1,12 @@
 """Randomized laws for the arithmetic kernel (ring axioms, eval morphism,
-canonical forms, and the finite-difference integrality decision)."""
+canonical forms, and the exact integrality and sign decisions)."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fourgeo.algebra import LaurentPoly, Poly, integer_valued
+from fourgeo.algebra import LaurentPoly, Poly, at_least, integer_valued
 
 # Fractions in [-50, 50] with denominator at most 12, built from integer
 # pairs: far cheaper to generate than st.fractions with the same range.
@@ -90,3 +90,31 @@ def test_integer_valued_matches_brute_force(coeffs):
     # Integrality on 101 consecutive integers decides it for deg <= 100.
     brute = all(p(k).denominator == 1 for k in range(-50, 51))
     assert integer_valued(p) == brute
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(min_value=-9, max_value=9), max_size=4),
+    st.lists(st.integers(min_value=2, max_value=60), max_size=3),
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=0, max_value=1),
+)
+def test_at_least_matches_brute_force(coeffs, double_roots, shift, bound):
+    # Double roots inside the range leave the Newton table undecided, so
+    # many cases reach the root-isolation fallback.
+    p = Poly(tuple(Fraction(c) for c in coeffs))
+    for r in double_roots:
+        p = p * Poly((Fraction(-r), Fraction(1))) ** 2
+    p = p + shift
+    if p.degree < 1:
+        expected = p.constant_value() >= bound
+    elif p.leading_coefficient < 0:
+        expected = False
+    else:
+        # Fujiwara's bound: every root has |z| <= 2 * max_i |a_{d-i}/a_d|^(1/i)
+        d, lead = p.degree, p.leading_coefficient
+        ratios = [abs(p.coeffs[d - i] / lead) for i in range(1, d + 1)]
+        ratios[-1] /= 2
+        top = 3 + int(2 * max(float(r) ** (1 / i) for i, r in enumerate(ratios, 1)))
+        expected = all(p(k) >= bound for k in range(2, top + 1))
+    assert at_least(p, bound) == expected

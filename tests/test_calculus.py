@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -258,3 +259,44 @@ def test_record_log_accumulates():
     m = blow_up(blow_up(torus4(), 1), 2)
     assert m.log[0] == "T4"
     assert len(m.log) == 3
+
+
+# -- exact sign decisions on symbolic counts and genera ----------------------
+
+
+def test_count_negative_between_sample_points_is_rejected():
+    # n^2 - 24n + 143 is -1 at n = 12 only
+    with pytest.raises(ValueError, match="blow-up count must be nonnegative for n >= 2"):
+        blow_up(make_manifold(0, 0), (N - 11) * (N - 13))
+
+
+def test_count_negative_far_out_is_rejected_quickly():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="nonnegative for n >= 2"):
+        blow_up(make_manifold(0, 0), (N - 10**9) ** 2 - 1)  # -1 at n = 10^9
+    assert time.perf_counter() - start < 1.0
+
+
+def test_count_with_double_root_far_out_is_accepted_quickly():
+    start = time.perf_counter()
+    assert blow_up(make_manifold(0, 0), (N - 10**9) ** 2).e == (N - 10**9) ** 2
+    assert time.perf_counter() - start < 1.0
+
+
+def test_count_with_root_inside_the_range_is_accepted():
+    # the Newton table at 2 reads 1, 0, 2: the sign needs root isolation
+    assert blow_up(make_manifold(0, 0), (N - 3) ** 2).e == (N - 3) ** 2
+
+
+def test_symbolic_surface_genus_is_checked():
+    with pytest.raises(ValueError, match="surface genus must be nonnegative for n >= 2"):
+        MarkedSurface(N - 5, 0)
+    with pytest.raises(ValueError, match="surface genus must be integer-valued"):
+        MarkedSurface(N / 2, 0)
+    assert MarkedSurface(N - 2, 0).genus == N - 2
+
+
+def test_symbolic_genus_from_euler_is_checked():
+    with pytest.raises(ValueError, match="exceeds 2 at some n >= 2"):
+        genus_from_euler(2 * N - 8)  # genus 5 - n
+    assert genus_from_euler(6 - 2 * N) == N - 2

@@ -99,6 +99,16 @@ def test_geography_stdout_and_range_validation(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag", ["--csv", "--svg"])
+def test_geography_unwritable_output_exit_2(capsys, tmp_path, flag):
+    target = tmp_path / "missing" / "out"
+    code, _, err = run(capsys, "geography", "--n-min", "2", "--n-max", "3",
+                       flag, str(target))
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not target.exists()
+
+
 def test_geography_deterministic_bytes(capsys, tmp_path):
     paths = []
     for run_index in (1, 2):
@@ -128,6 +138,21 @@ def test_verify_paper_passes_with_warning(capsys):
     assert "warnings:" in out
     assert "227" in out
     assert "337" in out
+
+
+@pytest.mark.parametrize("n_max", ["3", "1", "-5"])
+def test_verify_paper_rejects_short_range(capsys, n_max):
+    # below 4 the table and monotonicity checks would pass vacuously
+    code, out, err = run(capsys, "verify-paper", "--n-max", n_max)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --n-max must be at least 4")
+
+
+def test_verify_paper_smallest_range(capsys):
+    code, out, _ = run(capsys, "verify-paper", "--json", "--n-max", "4")
+    assert code == 0
+    assert all(entry["pass"] for entry in json.loads(out))
 
 
 def test_verify_paper_json(capsys):

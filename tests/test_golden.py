@@ -1,5 +1,7 @@
 """Byte-for-byte CLI outputs, captured before the Seiberg-Witten ledger was
-kept in factored form; any change to them is a regression."""
+kept in factored form (verify-paper, exotic, build) and before geography
+scans evaluated the symbolic family instead of building each member; any
+change to them is a regression."""
 
 from pathlib import Path
 
@@ -25,3 +27,17 @@ K3_BLOCK = str(GOLDEN / "k3_block.geo")
 def test_cli_output_is_byte_identical(capsys, argv, expected):
     assert main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / expected).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "n_min, n_max, stem",
+    [
+        ("2", "60", "geography_2_60"),
+        ("999999999800", "1000000000000", "geography_1e12"),
+    ],
+)
+def test_geography_output_is_byte_identical(capsys, tmp_path, n_min, n_max, stem):
+    svg = tmp_path / "scan.svg"
+    assert main(["geography", "--n-min", n_min, "--n-max", n_max, "--svg", str(svg)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{stem}.csv").read_text(encoding="utf-8")
+    assert svg.read_bytes() == (GOLDEN / f"{stem}.svg").read_bytes()
