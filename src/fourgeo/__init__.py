@@ -5,126 +5,3 @@ covers, surface resolutions, symplectic fiber sums and knot surgery, tracked
 exactly, either as rational numbers or as polynomial functions of the
 construction parameter n.
 """
-
-from .algebra import (
-    N,
-    LaurentPoly,
-    Poly,
-    Rational,
-    Scalar,
-    as_scalar,
-    divide_exact,
-    integer_valued,
-    is_monic_symmetric,
-    scalar_eval,
-    scalar_str,
-)
-from .blocks import cp2_reversed, k3_elliptic, torus4
-from .calculus import (
-    BmyReport,
-    BranchData,
-    Declared,
-    ManifoldRecord,
-    MarkedSurface,
-    UNKNOWN,
-    blow_up,
-    bmy_report,
-    branched_cover,
-    declared_false,
-    declared_true,
-    euler_of_union,
-    fiber_sum,
-    genus_from_euler,
-    make_manifold,
-    resolve_surfaces,
-    riemann_hurwitz,
-    surface_blowup,
-)
-from .knots import (
-    FamilyReport,
-    Knot,
-    SWLedger,
-    distinguish_family,
-    find_fibered_knot_of_genus,
-    knot_surgery,
-    nonfibered_nonmonic_family,
-    torus_knot,
-    torus_knot_alexander,
-    twist_knot,
-    unknot,
-)
-from .pipeline import (
-    CheckResult,
-    ExoticReport,
-    PipelineReport,
-    branch_preset,
-    build_cover_block,
-    build_family,
-    build_gluing_surface,
-    build_k3_block,
-    exotic_family,
-    family_targets,
-    verify_formulas,
-)
-from .script import ScriptError, evaluate, parse, pretty
-
-__all__ = [
-    "N",
-    "LaurentPoly",
-    "Poly",
-    "Rational",
-    "Scalar",
-    "as_scalar",
-    "divide_exact",
-    "integer_valued",
-    "is_monic_symmetric",
-    "scalar_eval",
-    "scalar_str",
-    "cp2_reversed",
-    "k3_elliptic",
-    "torus4",
-    "BmyReport",
-    "BranchData",
-    "Declared",
-    "ManifoldRecord",
-    "MarkedSurface",
-    "UNKNOWN",
-    "blow_up",
-    "bmy_report",
-    "branched_cover",
-    "declared_false",
-    "declared_true",
-    "euler_of_union",
-    "fiber_sum",
-    "genus_from_euler",
-    "make_manifold",
-    "resolve_surfaces",
-    "riemann_hurwitz",
-    "surface_blowup",
-    "FamilyReport",
-    "Knot",
-    "SWLedger",
-    "distinguish_family",
-    "find_fibered_knot_of_genus",
-    "knot_surgery",
-    "nonfibered_nonmonic_family",
-    "torus_knot",
-    "torus_knot_alexander",
-    "twist_knot",
-    "unknot",
-    "CheckResult",
-    "ExoticReport",
-    "PipelineReport",
-    "branch_preset",
-    "build_cover_block",
-    "build_family",
-    "build_gluing_surface",
-    "build_k3_block",
-    "exotic_family",
-    "family_targets",
-    "verify_formulas",
-    "ScriptError",
-    "evaluate",
-    "parse",
-    "pretty",
-]

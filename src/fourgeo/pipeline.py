@@ -19,10 +19,13 @@ as polynomials in n) or numerically (n a concrete integer >= 2):
                    c1^2/chi_h climbs to 9.
 
 Every stage records named checks against the closed-form targets and raises
-on drift; verify_formulas() collects everything without raising, including
-the numeric n = 3, 4 table (where the published table's sigma entry for
-n = 3, 227, contradicts its own chi_h/c2/c1^2 values; the consistent value
-is 337 and the discrepancy is reported as a warning, never an error).
+on drift.  build_family(n) builds each stage once and its report carries the
+cover-block and K3-block reports it was built from, so nothing downstream
+rebuilds a stage.  verify_formulas() reads every check from one symbolic
+family report and one numeric report per n, without raising, including the
+numeric n = 3, 4 table (where the published table's sigma entry for n = 3,
+227, contradicts its own chi_h/c2/c1^2 values; the consistent value is 337
+and the discrepancy is reported as a warning, never an error).
 """
 
 from __future__ import annotations
@@ -88,11 +91,17 @@ class FiberData:
 
 @dataclass(frozen=True)
 class PipelineReport:
+    """A stage's manifold and checks.  The cover block adds its fiber data
+    and intersection count, the K3 block its glued surface, and the family
+    the gluing surface and the two block reports it was built from."""
+
     manifold: ManifoldRecord
     checks: tuple[CheckResult, ...] = ()
     fiber_data: FiberData | None = None
     intersections: Scalar | None = None
     surface: MarkedSurface | None = None
+    cover: PipelineReport | None = None
+    k3: PipelineReport | None = None
 
 
 def _check(name: str, expected, got, note: str = "") -> CheckResult:
@@ -178,23 +187,6 @@ def gluing_genus(v: Scalar) -> Scalar:
     return 3 * v**5 - 3 * v**4 + v**3 + 1
 
 
-def build_gluing_surface(n: int | None = None) -> MarkedSurface:
-    """Resolution of two transverse regular fibers of the cover block
-    (n^3 intersection points): genus 3n^5 - 3n^4 + n^3 + 1, square 2n^3."""
-    return _gluing_surface(build_cover_block(n), parameter(n))
-
-
-def _gluing_surface(cover: PipelineReport, v: Scalar) -> MarkedSurface:
-    fiber = cover.manifold.surface("fiber")
-    surface = resolve_surfaces(fiber, fiber, cover.intersections, name="gluing surface")
-    checks = [
-        _check("gluing surface: genus", gluing_genus(v), surface.genus),
-        _check("gluing surface: self-intersection", 2 * v**3, surface.self_int),
-    ]
-    _assert_checks(checks)
-    return surface
-
-
 def build_k3_block(n: int | None = None) -> PipelineReport:
     """Blown-up, knot-surgered K3 block carrying the mirror gluing surface.
 
@@ -243,10 +235,20 @@ def family_targets(v: Scalar) -> dict[str, Scalar]:
 
 def build_family(n: int | None = None) -> PipelineReport:
     """The glued family: cover block fiber-summed with the K3 block along
-    surfaces of genus 3n^5 - 3n^4 + n^3 + 1 and squares +-2n^3."""
+    surfaces of genus 3n^5 - 3n^4 + n^3 + 1 and squares +-2n^3.
+
+    Each stage is built once.  The gluing surface resolves the n^3
+    intersections of two transverse regular fibers of the cover block.  The
+    report carries that surface and the two block reports (`cover`, `k3`),
+    and lists the blocks' checks before its own."""
     v = parameter(n)
     cover = build_cover_block(n)
-    gluing = _gluing_surface(cover, v)
+    fiber = cover.manifold.surface("fiber")
+    gluing = resolve_surfaces(fiber, fiber, cover.intersections, name="gluing surface")
+    _assert_checks([
+        _check("gluing surface: genus", gluing_genus(v), gluing.genus),
+        _check("gluing surface: self-intersection", 2 * v**3, gluing.self_int),
+    ])
     k3 = build_k3_block(n)
 
     glued = fiber_sum(
@@ -276,9 +278,9 @@ def build_family(n: int | None = None) -> PipelineReport:
     return PipelineReport(
         manifold=glued,
         checks=cover.checks + k3.checks + tuple(checks),
-        fiber_data=cover.fiber_data,
-        intersections=cover.intersections,
         surface=gluing,
+        cover=cover,
+        k3=k3,
     )
 
 
@@ -291,52 +293,34 @@ _SIGMA_TABLE_NOTE = (
 
 def verify_formulas(n_max: int = 50) -> list[CheckResult]:
     """Re-derive every closed-form statement about the construction and
-    report each comparison; failures are collected, never raised."""
-    checks: list[CheckResult] = []
+    report each comparison; failures are collected, never raised.
 
-    def guard(name: str, fn) -> None:
-        try:
-            fn()
-        except Exception as err:  # a drifting build is a reported failure
-            checks.append(CheckResult(name, "no error", f"{type(err).__name__}: {err}", False))
+    The symbolic family is built once and every stage check is read from its
+    report (the block checks appear twice: once per block, once inside the
+    family's list).  Each member n = 2..n_max (n_max >= 4) is built once;
+    the table rows, the scan and the ratio at n = 50 read those builds."""
+    if n_max < 4:
+        raise ValueError(f"n_max must be at least 4, got {n_max}")
+    try:
+        family = build_family()
+    except Exception as err:  # a drifting build is a reported failure
+        return [CheckResult("glued family build", "no error", f"{type(err).__name__}: {err}", False)]
+    cover, k3, man = family.cover, family.k3, family.manifold
 
     # Symbolic identities (the stage builders re-check their own formulas).
-    guard("cover block build", lambda: checks.extend(build_cover_block().checks))
-    guard(
-        "gluing surface build",
-        lambda: checks.append(
-            _check(
-                "gluing surface: genus and square",
-                scalar_str(gluing_genus(N)) + " / " + scalar_str(2 * N**3),
-                (lambda s: scalar_str(s.genus) + " / " + scalar_str(s.self_int))(
-                    build_gluing_surface()
-                ),
-            )
-        ),
-    )
-    guard("fiber intersections", lambda: checks.append(
-        _check("fiber intersections", N**3, build_cover_block().intersections)
-    ))
-    guard("K3 block build", lambda: checks.extend(build_k3_block().checks))
-
-    symbolic = None
-
-    def run_symbolic():
-        nonlocal symbolic
-        symbolic = build_family()
-        checks.extend(symbolic.checks)
-
-    guard("glued family build", run_symbolic)
-    if symbolic is None:
-        return checks
-
-    man = symbolic.manifold
+    checks = list(cover.checks)
     checks.append(
         _check(
-            "chi_h integer-valued: cover block",
-            True,
-            integer_valued(build_cover_block().manifold.chi_h),
+            "gluing surface: genus and square",
+            scalar_str(gluing_genus(N)) + " / " + scalar_str(2 * N**3),
+            scalar_str(family.surface.genus) + " / " + scalar_str(family.surface.self_int),
         )
+    )
+    checks.append(_check("fiber intersections", N**3, cover.intersections))
+    checks.extend(k3.checks)
+    checks.extend(family.checks)
+    checks.append(
+        _check("chi_h integer-valued: cover block", True, integer_valued(cover.manifold.chi_h))
     )
     checks.append(_check("chi_h integer-valued: glued family", True, integer_valued(man.chi_h)))
 
@@ -351,13 +335,15 @@ def verify_formulas(n_max: int = 50) -> list[CheckResult]:
         )
     )
 
+    members = {n: build_family(n).manifold for n in range(2, n_max + 1)}
+
     # Numeric tables for the two smallest positive-signature members.
     table = {
         3: {"chi_h": 1163, "c1sq": 9641, "c2": 4315, "sigma": 337},
         4: {"chi_h": 7490, "c1sq": 63874, "c2": 26006, "sigma": 3954},
     }
     for n, row in table.items():
-        built = build_family(n).manifold
+        built = members[n]
         for key, expected in row.items():
             value = {"chi_h": built.chi_h, "c1sq": built.c1sq, "c2": built.c2, "sigma": built.sigma}[key]
             note = _SIGMA_TABLE_NOTE if (n, key) == (3, "sigma") else ""
@@ -372,8 +358,7 @@ def verify_formulas(n_max: int = 50) -> list[CheckResult]:
     integral = True
     agree = True
     sign_ok = True
-    for n in range(2, n_max + 1):
-        built = build_family(n).manifold
+    for n, built in members.items():
         for key, value in built.invariants().items():
             if scalar_eval(sym[key], n) != value:
                 agree = False
@@ -391,16 +376,14 @@ def verify_formulas(n_max: int = 50) -> list[CheckResult]:
 
     checks.append(_check(f"numeric equals symbolic, n = 2..{n_max}", True, agree))
     checks.append(_check(f"chi_h integral, n = 2..{n_max}", True, integral))
-    checks.append(
-        _check("sigma at n=2", -30, build_family(2).manifold.sigma)
-    )
+    checks.append(_check("sigma at n=2", -30, members[2].sigma))
     checks.append(
         _check(f"sigma > 0 exactly when n >= 3 (n = 2..{n_max})", True, sign_ok)
     )
     checks.append(_check(f"below the 9*chi_h line for n = 2..{n_max}", True, all_below))
     checks.append(_check(f"ratio strictly increasing, n = 3..{n_max}", True, increasing))
     if n_max >= 50:
-        r50 = bmy_report(build_family(50).manifold).ratio
+        r50 = bmy_report(members[50]).ratio
         checks.append(
             CheckResult(
                 "ratio at n=50 exceeds 8.99",

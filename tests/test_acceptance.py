@@ -20,7 +20,6 @@ from fourgeo.calculus import (
 from fourgeo.pipeline import (
     build_cover_block,
     build_family,
-    build_gluing_surface,
     build_k3_block,
     exotic_family,
     verify_formulas,
@@ -58,7 +57,7 @@ def test_criterion_2_cover_block():
 
 
 def test_criterion_3_gluing_surface():
-    s = build_gluing_surface()
+    s = build_family().surface
     ok = (
         s.genus == 3 * N**5 - 3 * N**4 + N**3 + 1
         and s.self_int == 2 * N**3

@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from fourgeo import pipeline
 from fourgeo.cli import main
 
 KN_SCRIPT = str(Path(__file__).resolve().parent.parent / "scripts" / "kn.geo")
@@ -167,6 +169,24 @@ def test_verify_paper_json(capsys):
     assert len(sigma_rows) == 1
     assert sigma_rows[0]["got"] == "337"
     assert "227" in sigma_rows[0]["note"]
+
+
+_TARGETS, _BRANCH = pipeline.family_targets, pipeline.branch_preset
+
+
+@pytest.mark.parametrize("name, drift, check", [
+    ("family_targets", lambda v: {**_TARGETS(v), "c2": _TARGETS(v)["c2"] + 1},
+     "glued family: c2"),
+    ("branch_preset", lambda v: replace(_BRANCH(v), k_dot_d=4 * v**4 + 12),
+     "cover block: c1^2"),
+])
+def test_verify_paper_reports_drifting_stage(capsys, monkeypatch, name, drift, check):
+    # a closed form or a cover-block input that drifts fails the run and is named
+    monkeypatch.setattr(pipeline, name, drift)
+    code, out, _ = run(capsys, "verify-paper", "--json")
+    assert code == 1
+    failed = [e for e in json.loads(out) if not e["pass"]]
+    assert any(check in e["got"] for e in failed)
 
 
 def test_verify_paper_deterministic(capsys):

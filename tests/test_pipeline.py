@@ -1,14 +1,15 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from fourgeo import pipeline
 from fourgeo.algebra import N, LaurentPoly, integer_valued, scalar_eval
 from fourgeo.calculus import bmy_report
 from fourgeo.knots import distinguish_family, unknot
 from fourgeo.pipeline import (
     build_cover_block,
     build_family,
-    build_gluing_surface,
     build_k3_block,
     exotic_family,
     family_targets,
@@ -54,12 +55,12 @@ def test_parameter_domain():
 
 
 def test_gluing_surface():
-    s = build_gluing_surface()
+    s = build_family().surface
     assert s.genus == 3 * N**5 - 3 * N**4 + N**3 + 1
     assert s.self_int == 2 * N**3
-    s2 = build_gluing_surface(2)
+    s2 = build_family(2).surface
     assert (s2.genus, s2.self_int) == (57, 16)
-    s3 = build_gluing_surface(3)
+    s3 = build_family(3).surface
     assert (s3.genus, s3.self_int) == (514, 54)
 
 
@@ -142,10 +143,10 @@ def test_family_chi_integrality():
 
 def test_fiber_sum_gain_identity():
     # c1^2(sum) - c1^2(left) - c1^2(right) = 8(g - 1), identically in n
-    glued = build_family().manifold
+    family = build_family()
+    glued, g = family.manifold, family.surface.genus
     cover = build_cover_block().manifold
     k3 = build_k3_block().manifold
-    g = build_gluing_surface().genus
     assert glued.c1sq - cover.c1sq - k3.c1sq == 8 * (g - 1)
 
 
@@ -177,6 +178,24 @@ def test_verify_formulas_all_pass_with_sigma_warning():
     assert len(warned) == 1
     assert warned[0].name == "table n=3: sigma"
     assert "227" in warned[0].note and warned[0].got == "337"
+
+
+def test_verify_formulas_builds_each_stage_once(monkeypatch):
+    stages = ("build_cover_block", "build_k3_block", "build_family")
+    built = Counter()
+    for stage in stages:
+        def counting(n=None, stage=stage, build=getattr(pipeline, stage)):
+            built[stage, n] += 1
+            return build(n)
+        monkeypatch.setattr(pipeline, stage, counting)
+    assert all(c.passed for c in verify_formulas(n_max=12))
+    assert set(built) == {(stage, n) for stage in stages for n in (None, *range(2, 13))}
+    assert set(built.values()) == {1}
+
+
+def test_verify_formulas_rejects_short_range():
+    with pytest.raises(ValueError, match="n_max must be at least 4"):
+        verify_formulas(n_max=3)
 
 
 def test_exotic_family_partition_and_distinctness():
