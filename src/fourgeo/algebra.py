@@ -13,7 +13,10 @@ Three kinds of values circulate through the calculus:
                exponent order with no zero coefficients.  Integer-only
                coefficients are deliberate: the knot polynomials carried in
                this form are integral, and rational leakage indicates a
-               normalization bug upstream.
+               normalization bug upstream.  The public constructor checks
+               and normalizes its input; the arithmetic operations already
+               produce canonical terms and return through the private
+               LaurentPoly._canonical, which stores them unchecked.
 
 A Scalar is a Fraction or a Poly.  Mixed arithmetic promotes the Fraction to
 a constant polynomial; a degree-0 Poly compares (and hashes) equal to the
@@ -25,6 +28,7 @@ All values are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -435,12 +439,19 @@ class LaurentPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _canonical(cls, terms: tuple[tuple[int, int], ...]) -> "LaurentPoly":
+        # terms must already be ascending, zero-free and all-int
+        self = object.__new__(cls)
+        object.__setattr__(self, "terms", terms)
+        return self
+
+    @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls(())
+        return cls._canonical(())
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls(((0, 1),))
+        return cls._canonical(((0, 1),))
 
     @classmethod
     def t_power(cls, exponent: int, coefficient: int = 1) -> "LaurentPoly":
@@ -475,11 +486,11 @@ class LaurentPoly:
 
     def is_symmetric(self) -> bool:
         """True iff a(t) = a(1/t) coefficientwise."""
-        # terms are sorted by exponent, so mirror-match the two ends
-        return all(
-            e1 == -e2 and c1 == c2
-            for (e1, c1), (e2, c2) in zip(self.terms, reversed(self.terms))
-        )
+        if not self.terms:
+            return True
+        # terms are sorted by exponent, so mirror the two sequences
+        es, cs = zip(*self.terms)
+        return cs == cs[::-1] and es == tuple(map(operator.neg, reversed(es)))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -489,10 +500,10 @@ class LaurentPoly:
         acc = dict(self.terms)
         for e, c in other.terms:
             acc[e] = acc.get(e, 0) + c
-        return LaurentPoly(acc)
+        return LaurentPoly._canonical(tuple(sorted((e, c) for e, c in acc.items() if c)))
 
     def __neg__(self):
-        return LaurentPoly(tuple((e, -c) for e, c in self.terms))
+        return LaurentPoly._canonical(tuple((e, -c) for e, c in self.terms))
 
     def __sub__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -502,16 +513,23 @@ class LaurentPoly:
     def __mul__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
+        a, b = self.terms, other.terms
+        if len(a) != 1:
+            a, b = b, a
+        if len(a) == 1:
+            # a monomial c*t^k shifts and scales the other factor
+            ((k, c),) = a
+            return LaurentPoly._canonical(tuple((e + k, c * d) for e, d in b))
         acc: dict[int, int] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
+        for e1, c1 in a:
+            for e2, c2 in b:
                 e = e1 + e2
                 acc[e] = acc.get(e, 0) + c1 * c2
-        return LaurentPoly(acc)
+        return LaurentPoly._canonical(tuple(sorted((e, c) for e, c in acc.items() if c)))
 
     def substitute_square(self) -> "LaurentPoly":
         """The substitution t -> t^2 (every exponent doubled)."""
-        return LaurentPoly(tuple((2 * e, c) for e, c in self.terms))
+        return LaurentPoly._canonical(tuple((2 * e, c) for e, c in self.terms))
 
     def __call__(self, x) -> Fraction:
         """Exact evaluation at a nonzero rational point."""

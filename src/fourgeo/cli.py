@@ -19,6 +19,7 @@ import sys
 from . import geography
 from .algebra import scalar_str
 from .calculus import ManifoldRecord, MarkedSurface
+from .knots import ALEXANDER_GENUS_CAP
 from .pipeline import exotic_family, verify_formulas
 from .script import ScriptError, evaluate, parse
 
@@ -131,6 +132,10 @@ def _cmd_exotic(args) -> int:
         return 2
     if args.count < 1:
         print("error: --count must be at least 1", file=sys.stderr)
+        return 2
+    if args.count > ALEXANDER_GENUS_CAP:
+        print(f"error: --count must be at most {ALEXANDER_GENUS_CAP} "
+              f"(ALEXANDER_GENUS_CAP)", file=sys.stderr)
         return 2
     report = exotic_family(args.n, args.count)
     base = report.base

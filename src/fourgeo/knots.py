@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
-from .algebra import LaurentPoly, Poly, Scalar, as_scalar, is_monic_symmetric, scalar_str
+from .algebra import LaurentPoly, Poly, Scalar, as_scalar, scalar_str
 from .calculus import ManifoldRecord, MarkedSurface, UNKNOWN, _require_count, declared_false
 
 #: Largest knot genus whose Delta_K(t^2) factor a ledger expands when it is
@@ -38,6 +38,8 @@ class Knot:
     polynomial is the Alexander polynomial, validated on construction; or
     the (p, q) type of a torus knot, whose polynomial is built and validated
     when `alexander` is first read; or None when the genus is symbolic.
+    `monic` (top coefficient +-1) is read off the validated polynomial
+    once and cached.
     """
 
     descriptor: str
@@ -64,9 +66,14 @@ class Knot:
             raise ValueError(f"Alexander polynomial must satisfy D(t) = D(1/t): {a}")
         if sum(c for _, c in a.terms) not in (1, -1):
             raise ValueError(f"Alexander polynomial must have D(1) = +-1: {a}")
-        if self.fibered and not is_monic_symmetric(a):
+        if self.fibered and abs(a.terms[-1][1]) != 1:
             raise ValueError(f"fibered knot needs a monic Alexander polynomial: {a}")
         return a
+
+    @cached_property
+    def monic(self) -> bool:
+        """True iff the (symmetric) Alexander polynomial has top coefficient +-1."""
+        return abs(self.alexander.terms[-1][1]) == 1
 
     def is_trivial(self) -> bool:
         return self.alexander == LaurentPoly.one()
@@ -103,7 +110,7 @@ def torus_knot_alexander(p: int, q: int) -> LaurentPoly:
     quotient = _divide_by_t_power_minus_1(numerator, p)
     quotient = _divide_by_t_power_minus_1(quotient, q)
     genus = (p - 1) * (q - 1) // 2
-    return LaurentPoly({e - genus: c for e, c in enumerate(quotient) if c})
+    return LaurentPoly._canonical(tuple((e - genus, c) for e, c in enumerate(quotient) if c))
 
 
 def torus_knot(p: int, q: int) -> Knot:
@@ -205,7 +212,7 @@ def knot_surgery(
 
     if knot.fibered:
         symplectic = record.symplectic
-    elif not is_monic_symmetric(knot.alexander):
+    elif not knot.monic:
         symplectic = declared_false(
             "knot surgery along a non-fibered knot with non-monic Alexander polynomial"
         )
@@ -250,7 +257,7 @@ def distinguish_family(
 ) -> FamilyReport:
     """Surger the base record along every knot and compare the ledgers.
 
-    The resulting Seiberg-Witten values are compared structurally; the
+    The resulting Seiberg-Witten values are grouped by ledger value; the
     entries are partitioned into symplectic candidates (fibered knots, monic
     polynomials) and non-symplectic candidates (non-monic polynomials).
     """
@@ -266,14 +273,16 @@ def distinguish_family(
             FamilyEntry(
                 knot.descriptor,
                 sw,
-                monic=is_monic_symmetric(knot.alexander),
+                monic=knot.monic,
                 symplectic_candidate=knot.fibered,
                 note=note,
             )
         )
-    collisions = []
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            if entries[i].sw == entries[j].sw:
-                collisions.append((entries[i].knot, entries[j].knot))
-    return FamilyReport(tuple(entries), not collisions, tuple(collisions))
+    earlier: dict[LaurentPoly, list[int]] = {}
+    pairs = []
+    for j, entry in enumerate(entries):
+        same = earlier.setdefault(entry.sw, [])
+        pairs += [(i, j) for i in same]
+        same.append(j)
+    collisions = tuple((entries[i].knot, entries[j].knot) for i, j in sorted(pairs))
+    return FamilyReport(tuple(entries), not collisions, collisions)

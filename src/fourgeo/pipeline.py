@@ -60,6 +60,7 @@ from .calculus import (
     surface_blowup,
 )
 from .knots import (
+    ALEXANDER_GENUS_CAP,
     SWLedger,
     distinguish_family,
     find_fibered_knot_of_genus,
@@ -418,6 +419,12 @@ def exotic_family(n: int, count: int) -> ExoticReport:
     """
     if not isinstance(count, int) or count < 1:
         raise ValueError(f"count must be a positive integer, got {count}")
+    if count > ALEXANDER_GENUS_CAP:
+        # T(2, 2*count+1) has genus count; above the cap its ledger stays
+        # factored and cannot be compared
+        raise ValueError(
+            f"count must be at most ALEXANDER_GENUS_CAP = {ALEXANDER_GENUS_CAP}, got {count}"
+        )
     base = replace(build_family(n).manifold, sw=SWLedger(LaurentPoly.one()))
     base = base.with_surface(
         "surviving torus", MarkedSurface(1, 0, "torus in the K3-block complement")

@@ -1,12 +1,14 @@
 """Randomized laws for the arithmetic kernel (ring axioms, eval morphism,
 canonical forms, and the exact integrality and sign decisions)."""
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fourgeo.algebra import LaurentPoly, Poly, at_least, integer_valued
+from fourgeo.knots import torus_knot_alexander
 
 # Fractions in [-50, 50] with denominator at most 12, built from integer
 # pairs: far cheaper to generate than st.fractions with the same range.
@@ -72,6 +74,44 @@ def test_laurent_cancellation(a):
 def test_substitute_square_doubles_exponents(a):
     doubled = a.substitute_square()
     assert doubled.terms == tuple((2 * e, c) for e, c in a.terms)
+
+
+def _is_canonical(x: LaurentPoly) -> bool:
+    # the public constructor checks types and re-normalizes; a canonical
+    # value passes through it unchanged
+    return LaurentPoly(x.terms).terms == x.terms
+
+
+@RING_CASES
+@given(laurents, laurents)
+def test_laurent_operations_return_canonical_terms(a, b):
+    assert _is_canonical(a * b)
+    assert _is_canonical(-a)
+    assert _is_canonical(a - b)
+    assert _is_canonical(a.substitute_square())
+
+
+@settings(deadline=None)
+@given(
+    st.integers(min_value=-8, max_value=8),
+    st.integers(min_value=-20, max_value=20).filter(bool),
+    laurents,
+)
+def test_monomial_product_shifts_and_scales(k, c, a):
+    expected: dict[int, int] = {}
+    for e, d in a.terms:
+        expected[e + k] = expected.get(e + k, 0) + c * d
+    expected_terms = tuple(sorted((e, d) for e, d in expected.items() if d))
+    monomial = LaurentPoly.t_power(k, c)
+    assert (monomial * a).terms == expected_terms
+    assert (a * monomial).terms == expected_terms
+
+
+def test_torus_knot_alexander_is_canonical():
+    for q in range(3, 40):
+        for p in range(2, q):
+            if math.gcd(p, q) == 1:
+                assert _is_canonical(torus_knot_alexander(p, q)), (p, q)
 
 
 @settings(max_examples=300, deadline=None)

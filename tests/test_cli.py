@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from fourgeo import pipeline
+from fourgeo import cli, pipeline
 from fourgeo.cli import main
 
 KN_SCRIPT = str(Path(__file__).resolve().parent.parent / "scripts" / "kn.geo")
@@ -208,3 +208,54 @@ def test_exotic_validation(capsys):
     assert code == 2
     code, _, err = run(capsys, "exotic", "--n", "3", "--count", "0")
     assert code == 2
+
+
+def test_exotic_rejects_count_above_genus_cap(capsys, monkeypatch):
+    def fail(*args):
+        raise AssertionError("nothing may be built above the cap")
+
+    monkeypatch.setattr(cli, "exotic_family", fail)
+    code, out, err = run(capsys, "exotic", "--n", "3", "--count", "50001")
+    assert code == 2
+    assert out == ""
+    assert "50000" in err
+
+
+def _signed_sum(terms):
+    # (exponent, coefficient) pairs, highest exponent first, printed the
+    # way the CLI prints a ledger (exponents here are even, never 1)
+    text = ""
+    for e, c in terms:
+        if e == 0:
+            term = str(abs(c))
+        else:
+            term = f"t^{e}" if abs(c) == 1 else f"{abs(c)}*t^{e}"
+        if not text:
+            text = f"-{term}" if c < 0 else term
+        else:
+            text += f" - {term}" if c < 0 else f" + {term}"
+    return text
+
+
+def test_exotic_at_benchmark_scale(capsys):
+    count = 200
+    code, out, err = run(capsys, "exotic", "--n", "3", "--count", str(count))
+    assert code == 0
+    assert err == ""
+    expected = [
+        "base manifold (n = 3): e = 4315, sigma = 337, c1^2 = 9641, chi_h = 1163",
+        f"surgeries along the surviving square-zero torus: {2 * count} knots",
+    ]
+    for k in range(1, count + 1):
+        # Delta_T(2,2k+1)(t^2) = sum_{i=-k..k} (-1)^(k-i) t^(2i)
+        sw = _signed_sum([(2 * i, (-1) ** (k - i)) for i in range(k, -k - 1, -1)])
+        expected.append(f"  torus(2,{2 * k + 1}): symplectic, monic, sw = {sw}")
+    for m in range(2, count + 2):
+        sw = _signed_sum([(2, m), (0, -(2 * m + 1)), (-2, m)])
+        expected.append(f"  twist({m}): non-symplectic candidate, non-monic, sw = {sw}")
+    expected += [
+        f"symplectic candidates: {count}; non-symplectic candidates: {count}",
+        "all Seiberg-Witten values pairwise distinct: "
+        "the results are pairwise non-diffeomorphic",
+    ]
+    assert out.splitlines() == expected

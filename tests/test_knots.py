@@ -58,8 +58,9 @@ def test_alexander_invariants_catalog():
     for k in catalog:
         assert k.alexander(1) in (1, -1)
         assert k.alexander.is_symmetric()
+        assert k.monic == is_monic_symmetric(k.alexander)
         if k.fibered:
-            assert is_monic_symmetric(k.alexander)
+            assert k.monic
 
 
 def test_torus_knot_span_is_twice_genus():
@@ -125,6 +126,7 @@ def test_twist_family():
     for k in family:
         assert not k.fibered
         assert not is_monic_symmetric(k.alexander)
+        assert not k.monic
     assert len(nonfibered_nonmonic_family(1)) == 1
 
 
@@ -221,6 +223,26 @@ def test_distinguish_family_detects_collisions():
     report = distinguish_family(base, [torus_knot(2, 3), torus_knot(2, 3)])
     assert not report.pairwise_distinct
     assert report.collisions == (("torus(2,3)", "torus(2,3)"),)
+
+
+def test_distinguish_family_lists_collisions_in_index_order():
+    t23, t25 = torus_knot(2, 3), torus_knot(2, 5)
+    family = [
+        t23,
+        t25,
+        Knot("copy-a", 1, t23.alexander, fibered=True),
+        Knot("copy-b", 2, t25.alexander, fibered=True),
+        Knot("copy-c", 1, t23.alexander, fibered=True),
+    ]
+    report = distinguish_family(k3_elliptic(), family)
+    assert not report.pairwise_distinct
+    # pairs (0, 2), (0, 4), (1, 3), (2, 4): lexicographic in the indices
+    assert report.collisions == (
+        ("torus(2,3)", "copy-a"),
+        ("torus(2,3)", "copy-c"),
+        ("torus(2,5)", "copy-b"),
+        ("copy-a", "copy-c"),
+    )
 
 
 def test_torus_knot_family_distinct_up_to_100():

@@ -224,3 +224,12 @@ def test_exotic_family_validation():
         exotic_family(3, 0)
     with pytest.raises(ValueError):
         exotic_family(1, 5)
+
+
+def test_exotic_family_rejects_count_above_genus_cap(monkeypatch):
+    def fail(*args):
+        raise AssertionError("nothing may be built above the cap")
+
+    monkeypatch.setattr(pipeline, "build_family", fail)
+    with pytest.raises(ValueError, match="ALEXANDER_GENUS_CAP = 50000"):
+        exotic_family(3, 50_001)
