@@ -561,18 +561,6 @@ class LaurentPoly:
         return f"LaurentPoly[{self}]"
 
 
-def is_monic_symmetric(a: LaurentPoly) -> bool:
-    """True iff a is coefficientwise symmetric with top coefficient +-1.
-
-    Fibered-knot Alexander polynomials pass this test; it is the monicity
-    criterion used to split knot-surgery results into symplectic and
-    non-symplectic candidates.
-    """
-    if a.is_zero():
-        raise ValueError("undefined for zero")
-    return a.is_symmetric() and abs(a.terms[-1][1]) == 1
-
-
 def format_decimal(x: Fraction, places: int = 6) -> str:
     """Fixed-point decimal rendering with round-half-even, exact arithmetic."""
     scale = 10**places

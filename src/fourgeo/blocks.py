@@ -33,8 +33,8 @@ def k3_elliptic() -> ManifoldRecord:
         symplectic=declared_true("Kaehler"),
         almost_complex=True,
         surfaces=(
-            ("fiber", MarkedSurface(1, 0, "regular fiber")),
-            ("section", MarkedSurface(0, -2, "section")),
+            ("fiber", MarkedSurface(1, 0)),
+            ("section", MarkedSurface(0, -2)),
         ),
         sw=SWLedger(LaurentPoly.one()),
         log=("E2",),

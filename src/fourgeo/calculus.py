@@ -26,9 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 from .algebra import (
+    N,
     Poly,
     Scalar,
     as_scalar,
@@ -74,11 +76,11 @@ def declared_false(reason: str) -> Declared:
 
 @dataclass(frozen=True)
 class MarkedSurface:
-    """An embedded-surface descriptor: genus and self-intersection."""
+    """An embedded-surface descriptor: genus and self-intersection.  A
+    record names its surfaces by their keys in `ManifoldRecord.surfaces`."""
 
     genus: Scalar
     self_int: Scalar
-    name: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "genus", as_scalar(self.genus))
@@ -89,8 +91,7 @@ class MarkedSurface:
         return 2 - 2 * self.genus
 
     def __str__(self):
-        label = f"{self.name}: " if self.name else ""
-        return f"{label}genus {scalar_str(self.genus)}, self-intersection {scalar_str(self.self_int)}"
+        return f"genus {scalar_str(self.genus)}, self-intersection {scalar_str(self.self_int)}"
 
 
 @dataclass(frozen=True)
@@ -145,11 +146,11 @@ class ManifoldRecord:
     def c2(self) -> Scalar:
         return self.e
 
-    @property
+    @cached_property
     def c1sq(self) -> Scalar:
         return 3 * self.sigma + 2 * self.e
 
-    @property
+    @cached_property
     def chi_h(self) -> Scalar:
         return (self.sigma + self.e) / 4
 
@@ -165,9 +166,6 @@ class ManifoldRecord:
     def with_surface(self, name: str, s: MarkedSurface) -> "ManifoldRecord":
         kept = tuple((k, v) for k, v in self.surfaces if k != name)
         return replace(self, surfaces=kept + ((name, s),))
-
-    def with_log(self, entry: str) -> "ManifoldRecord":
-        return replace(self, log=self.log + (entry,))
 
     def invariants(self) -> dict[str, Scalar]:
         return {
@@ -186,6 +184,21 @@ def make_manifold(e, sigma) -> ManifoldRecord:
     return ManifoldRecord(
         e, sigma, log=(f"manifold(e={scalar_str(e)}, sigma={scalar_str(sigma)})",)
     )
+
+
+def parameter(n: int | None) -> Scalar:
+    """The construction parameter: the polynomial n (symbolic mode) or a
+    concrete integer n >= 2."""
+    if n is None:
+        return N
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"construction parameter must be an integer, got {n!r}")
+    if n < 2:
+        raise ValueError(
+            f"construction parameter must be >= 2 (n = {n} degenerates: "
+            "the lattice and branch data collapse)"
+        )
+    return Fraction(n)
 
 
 def _require_count(k: Scalar, what: str, positive: bool = False) -> None:
@@ -228,8 +241,12 @@ def blow_up(record: ManifoldRecord, k) -> ManifoldRecord:
     """
     k = as_scalar(k)
     _require_count(k, "blow-up count")
-    out = replace(record, e=record.e + k, sigma=record.sigma - k)
-    return out.with_log(f"blow_up(k={scalar_str(k)})")
+    return replace(
+        record,
+        e=record.e + k,
+        sigma=record.sigma - k,
+        log=record.log + (f"blow_up(k={scalar_str(k)})",),
+    )
 
 
 def surface_blowup(s: MarkedSurface, points) -> MarkedSurface:
@@ -237,7 +254,7 @@ def surface_blowup(s: MarkedSurface, points) -> MarkedSurface:
     points: genus unchanged, self-intersection drops by the point count."""
     points = as_scalar(points)
     _require_count(points, "blown-up point count")
-    return MarkedSurface(s.genus, s.self_int - points, s.name)
+    return MarkedSurface(s.genus, s.self_int - points)
 
 
 def branched_cover(record: ManifoldRecord, branch: BranchData) -> ManifoldRecord:
@@ -272,18 +289,18 @@ def branched_cover(record: ManifoldRecord, branch: BranchData) -> ManifoldRecord
             "inconsistent branch data: cover has sigma = "
             f"{scalar_str(sigma_new)}, chi_h = {scalar_str(chi_new)}"
         )
-    out = ManifoldRecord(
+    entry = (
+        f"branched_cover(degree={scalar_str(d)}, index={scalar_str(m)}, "
+        f"e_branch={scalar_str(branch.e_branch)}, K.D={scalar_str(branch.k_dot_d)}, "
+        f"D^2={scalar_str(branch.d_sq)})"
+    )
+    return ManifoldRecord(
         e_new,
         sigma_new,
         simply_connected=UNKNOWN,
         symplectic=record.symplectic,
         almost_complex=True,
-        log=record.log,
-    )
-    return out.with_log(
-        f"branched_cover(degree={scalar_str(d)}, index={scalar_str(m)}, "
-        f"e_branch={scalar_str(branch.e_branch)}, K.D={scalar_str(branch.k_dot_d)}, "
-        f"D^2={scalar_str(branch.d_sq)})"
+        log=record.log + (entry,),
     )
 
 
@@ -326,7 +343,7 @@ def genus_from_euler(e) -> Scalar:
     return g
 
 
-def resolve_surfaces(s1: MarkedSurface, s2: MarkedSurface, k, name: str = "") -> MarkedSurface:
+def resolve_surfaces(s1: MarkedSurface, s2: MarkedSurface, k) -> MarkedSurface:
     """Resolve k transverse positive intersections of two surfaces into one
     embedded surface: genus = g1 + g2 + k - 1, square = s1 + s2 + 2k."""
     k = as_scalar(k)
@@ -336,7 +353,6 @@ def resolve_surfaces(s1: MarkedSurface, s2: MarkedSurface, k, name: str = "") ->
     return MarkedSurface(
         s1.genus + s2.genus + k - 1,
         s1.self_int + s2.self_int + 2 * k,
-        name,
     )
 
 
@@ -378,17 +394,17 @@ def fiber_sum(
         sympl = declared_true("Gompf sum of symplectic manifolds along symplectic surfaces")
     else:
         sympl = UNKNOWN
-    out = ManifoldRecord(
+    entry = (
+        f"fiber_sum(genus={scalar_str(g)}, squares "
+        f"{scalar_str(left_surface.self_int)}/{scalar_str(right_surface.self_int)})"
+    )
+    return ManifoldRecord(
         left.e + right.e + 4 * g - 4,
         left.sigma + right.sigma,
         simply_connected=sc,
         symplectic=sympl,
         almost_complex=left.almost_complex and right.almost_complex,
-        log=left.log + right.log,
-    )
-    return out.with_log(
-        f"fiber_sum(genus={scalar_str(g)}, squares "
-        f"{scalar_str(left_surface.self_int)}/{scalar_str(right_surface.self_int)})"
+        log=left.log + right.log + (entry,),
     )
 
 

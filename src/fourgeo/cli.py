@@ -36,8 +36,7 @@ def _print_manifold(record: ManifoldRecord, out) -> None:
     if record.sw is not None:
         print(f"sw ledger: {record.sw}", file=out)
     for name, surface in record.surfaces:
-        print(f"surface {name}: genus {scalar_str(surface.genus)}, "
-              f"self-intersection {scalar_str(surface.self_int)}", file=out)
+        print(f"surface {name}: {surface}", file=out)
     print("log:", file=out)
     for entry in record.log:
         print(f"  {entry}", file=out)
@@ -47,7 +46,7 @@ def _cmd_build(args) -> int:
     try:
         with open(args.script, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     try:
@@ -56,17 +55,19 @@ def _cmd_build(args) -> int:
         print(f"{args.script}: {err}", file=sys.stderr)
         return 2
     try:
-        value = evaluate(ast, None if args.n is None else args.n)
+        value = evaluate(ast, args.n)
     except ScriptError as err:
         print(f"{args.script}: {err}", file=sys.stderr)
         return 1
+    except ValueError as err:  # n below 2; statement errors are ScriptErrors
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     mode = "symbolic (polynomials in n)" if args.n is None else f"numeric, n = {args.n}"
     print(f"mode: {mode}")
     if isinstance(value, ManifoldRecord):
         _print_manifold(value, sys.stdout)
     elif isinstance(value, MarkedSurface):
-        print(f"surface: genus {scalar_str(value.genus)}, "
-              f"self-intersection {scalar_str(value.self_int)}")
+        print(f"surface: {value}")
     else:
         print(f"value = {scalar_str(value)}")
     return 0
@@ -138,25 +139,25 @@ def _cmd_exotic(args) -> int:
               f"(ALEXANDER_GENUS_CAP)", file=sys.stderr)
         return 2
     report = exotic_family(args.n, args.count)
-    base = report.base
-    print(f"base manifold (n = {report.n}): e = {scalar_str(base.e)}, "
+    base, family = report.base, report.family
+    print(f"base manifold (n = {args.n}): e = {scalar_str(base.e)}, "
           f"sigma = {scalar_str(base.sigma)}, c1^2 = {scalar_str(base.c1sq)}, "
           f"chi_h = {scalar_str(base.chi_h)}")
     print(f"surgeries along the surviving square-zero torus: "
-          f"{len(report.family.entries)} knots")
-    for entry in report.family.entries:
+          f"{len(family.entries)} knots")
+    for entry in family.entries:
         kind = "symplectic" if entry.symplectic_candidate else "non-symplectic candidate"
         monic = "monic" if entry.monic else "non-monic"
         note = f"  [{entry.note}]" if entry.note else ""
         print(f"  {entry.knot}: {kind}, {monic}, sw = {entry.sw}{note}")
-    print(f"symplectic candidates: {report.symplectic_count}; "
-          f"non-symplectic candidates: {report.non_symplectic_count}")
-    if report.family.pairwise_distinct:
+    print(f"symplectic candidates: {len(family.symplectic())}; "
+          f"non-symplectic candidates: {len(family.non_symplectic())}")
+    if family.pairwise_distinct:
         print("all Seiberg-Witten values pairwise distinct: "
               "the results are pairwise non-diffeomorphic")
         return 0
     print("COLLISION among Seiberg-Witten values:", file=sys.stderr)
-    for a, b in report.family.collisions:
+    for a, b in family.collisions:
         print(f"  {a} vs {b}", file=sys.stderr)
     return 1
 

@@ -1,8 +1,10 @@
 """Geography scans: (chi_h, c1^2) rows for the glued family, CSV and SVG.
 
 A scan builds the family once, symbolically; that build runs every check a
-numeric build runs, exactly for all n >= 2.  Each row is then the record
-(e(n), sigma(n)) of the symbolic family evaluated at n.
+numeric build runs, exactly for all n >= 2.  Each row is the triple
+(n, record, bmy_report(record)), where record is (e(n), sigma(n)) of the
+symbolic family evaluated at n; the renderers read c1^2 and chi_h from the
+record and the ratio, gap and side from the report.
 
 Output is text assembled by hand so that identical inputs give byte-identical
 files: LF line endings, fixed column order, exact integers (or p/q) in every
@@ -12,45 +14,20 @@ scaling before formatting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import format_decimal, scalar_str
-from .calculus import ManifoldRecord, bmy_report
-from .pipeline import build_family, parameter
+from .calculus import BmyReport, ManifoldRecord, bmy_report, parameter
+from .pipeline import build_family
 
 CSV_HEADER = "n,e,sigma,c1sq,chi_h,ratio,bmy_gap,side"
 
-
-@dataclass(frozen=True)
-class GeographyRow:
-    n: int
-    e: Fraction
-    sigma: Fraction
-    c1sq: Fraction
-    chi_h: Fraction
-    ratio: Fraction
-    gap: Fraction
-    side: str
-
-    def csv(self) -> str:
-        return ",".join(
-            (
-                str(self.n),
-                scalar_str(self.e),
-                scalar_str(self.sigma),
-                scalar_str(self.c1sq),
-                scalar_str(self.chi_h),
-                format_decimal(self.ratio),
-                scalar_str(self.gap),
-                self.side,
-            )
-        )
+Row = tuple[int, ManifoldRecord, BmyReport]
 
 
-def scan(n_min: int, n_max: int) -> list[GeographyRow]:
+def scan(n_min: int, n_max: int) -> list[Row]:
     """Build the family once, symbolically, and evaluate it at each n in
-    [n_min, n_max]; bmy_report gives each row its ratio, gap and side."""
+    [n_min, n_max] into (n, record, bmy_report(record)) rows."""
     parameter(n_min)  # an integer >= 2, or ValueError
     if n_min > n_max:
         raise ValueError(f"empty range: {n_min} > {n_max}")
@@ -58,24 +35,28 @@ def scan(n_min: int, n_max: int) -> list[GeographyRow]:
     rows = []
     for n in range(n_min, n_max + 1):
         record = ManifoldRecord(family.e(n), family.sigma(n))
-        report = bmy_report(record)
-        rows.append(
-            GeographyRow(
-                n,
-                record.e,
-                record.sigma,
-                record.c1sq,
-                record.chi_h,
-                report.ratio,
-                report.gap,
-                report.side,
-            )
-        )
+        rows.append((n, record, bmy_report(record)))
     return rows
 
 
-def render_csv(rows: list[GeographyRow]) -> str:
-    return "\n".join([CSV_HEADER] + [row.csv() for row in rows]) + "\n"
+def render_csv(rows: list[Row]) -> str:
+    lines = [CSV_HEADER]
+    for n, record, report in rows:
+        lines.append(
+            ",".join(
+                (
+                    str(n),
+                    scalar_str(record.e),
+                    scalar_str(record.sigma),
+                    scalar_str(record.c1sq),
+                    scalar_str(record.chi_h),
+                    format_decimal(report.ratio),
+                    scalar_str(report.gap),
+                    report.side,
+                )
+            )
+        )
+    return "\n".join(lines) + "\n"
 
 
 # -- SVG scatter -------------------------------------------------------------
@@ -88,13 +69,13 @@ def _fmt(x: Fraction) -> str:
     return format_decimal(x, 2)
 
 
-def render_svg(rows: list[GeographyRow]) -> str:
+def render_svg(rows: list[Row]) -> str:
     """Scatter of (chi_h, c1^2) with the reference lines c1^2 = 8*chi_h and
     c1^2 = 9*chi_h, linear axes from the origin, points labeled by n."""
     if not rows:
         raise ValueError("nothing to plot")
-    x_max = max(row.chi_h for row in rows) * Fraction(21, 20)
-    y_max = max(row.c1sq for row in rows) * Fraction(21, 20)
+    x_max = max(record.chi_h for _, record, _ in rows) * Fraction(21, 20)
+    y_max = max(record.c1sq for _, record, _ in rows) * Fraction(21, 20)
     x_max = max(x_max, Fraction(1))
     y_max = max(y_max, Fraction(1))
     plot_w = Fraction(_WIDTH - 2 * _MARGIN)
@@ -129,12 +110,12 @@ def render_svg(rows: list[GeographyRow]) -> str:
             f'<text x="{_fmt(px(x_end) + 4)}" y="{_fmt(py(y_end) + 4)}" '
             f'font-size="12">c1^2 = {slope}*chi_h</text>'
         )
-    for row in rows:
-        cx, cy = _fmt(px(row.chi_h)), _fmt(py(row.c1sq))
-        parts.append(f'<circle cx="{cx}" cy="{cy}" r="3" fill="black"/>')
+    for n, record, _ in rows:
+        x, y = px(record.chi_h), py(record.c1sq)
+        parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" fill="black"/>')
         parts.append(
-            f'<text x="{_fmt(px(row.chi_h) + 6)}" y="{_fmt(py(row.c1sq) - 6)}" '
-            f'font-size="11">n={row.n}</text>'
+            f'<text x="{_fmt(x + 6)}" y="{_fmt(y - 6)}" '
+            f'font-size="11">n={n}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -219,13 +219,11 @@ def knot_surgery(
     else:
         symplectic = UNKNOWN
 
-    out = replace(record, sw=sw, symplectic=symplectic)
     if sum_target is not None:
-        s = out.surface(sum_target)
-        out = out.with_surface(
-            sum_target, MarkedSurface(s.genus + knot.genus, s.self_int, s.name)
-        )
-    return out.with_log(f"knot_surgery({knot.descriptor}, torus={torus!r})")
+        s = record.surface(sum_target)
+        record = record.with_surface(sum_target, MarkedSurface(s.genus + knot.genus, s.self_int))
+    entry = f"knot_surgery({knot.descriptor}, torus={torus!r})"
+    return replace(record, sw=sw, symplectic=symplectic, log=record.log + (entry,))
 
 
 @dataclass(frozen=True)

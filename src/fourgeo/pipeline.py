@@ -55,6 +55,7 @@ from .calculus import (
     euler_of_union,
     fiber_sum,
     genus_from_euler,
+    parameter,
     resolve_surfaces,
     riemann_hurwitz,
     surface_blowup,
@@ -81,24 +82,13 @@ class CheckResult:
 
 
 @dataclass(frozen=True)
-class FiberData:
-    """Euler characteristics of the fibration pieces of the cover block."""
-
-    regular_euler: Scalar
-    regular_genus: Scalar
-    singular_euler: Scalar
-    sphere_cover_euler: Scalar
-
-
-@dataclass(frozen=True)
 class PipelineReport:
-    """A stage's manifold and checks.  The cover block adds its fiber data
-    and intersection count, the K3 block its glued surface, and the family
-    the gluing surface and the two block reports it was built from."""
+    """A stage's manifold and checks.  The cover block adds its fiber
+    intersection count, and the family the gluing surface and the two block
+    reports it was built from."""
 
     manifold: ManifoldRecord
     checks: tuple[CheckResult, ...] = ()
-    fiber_data: FiberData | None = None
     intersections: Scalar | None = None
     surface: MarkedSurface | None = None
     cover: PipelineReport | None = None
@@ -120,21 +110,6 @@ def _assert_checks(checks: list[CheckResult]) -> None:
         raise RuntimeError(f"construction drift: {lines}")
 
 
-def parameter(n: int | None) -> Scalar:
-    """The construction parameter: the polynomial n (symbolic mode) or a
-    concrete integer n >= 2."""
-    if n is None:
-        return N
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"construction parameter must be an integer, got {n!r}")
-    if n < 2:
-        raise ValueError(
-            f"construction parameter must be >= 2 (n = {n} degenerates: "
-            "the lattice and branch data collapse)"
-        )
-    return Fraction(n)
-
-
 def branch_preset(v: Scalar) -> BranchData:
     """Branch data of the four disjoint torus families through the n^4
     blown-up lattice points: degree n^3, index n, e_branch 0, K.D = 4n^4,
@@ -145,7 +120,8 @@ def branch_preset(v: Scalar) -> BranchData:
 
 
 def build_cover_block(n: int | None = None) -> PipelineReport:
-    """Branched-cover block over the blown-up 4-torus, with fiber data."""
+    """Branched-cover block over the blown-up 4-torus; its checks hold the
+    Euler characteristics and genus of the fibration pieces."""
     v = parameter(n)
     blown = blow_up(blocks.torus4(), v**4)
     cover = branched_cover(blown, branch_preset(v))
@@ -173,13 +149,9 @@ def build_cover_block(n: int | None = None) -> PipelineReport:
     ]
     _assert_checks(checks)
 
-    manifold = cover.with_surface(
-        "fiber", MarkedSurface(regular_genus, 0, "regular fiber")
-    )
     return PipelineReport(
-        manifold=manifold,
+        manifold=cover.with_surface("fiber", MarkedSurface(regular_genus, 0)),
         checks=tuple(checks),
-        fiber_data=FiberData(regular_euler, regular_genus, singular_euler, sphere_cover_euler),
         intersections=v**3,
     )
 
@@ -221,7 +193,7 @@ def build_k3_block(n: int | None = None) -> PipelineReport:
         _check("K3 block surface: self-intersection", -2 * v**3, glued.self_int),
     ]
     _assert_checks(checks)
-    return PipelineReport(manifold=record, checks=tuple(checks), surface=glued)
+    return PipelineReport(manifold=record, checks=tuple(checks))
 
 
 def family_targets(v: Scalar) -> dict[str, Scalar]:
@@ -245,7 +217,7 @@ def build_family(n: int | None = None) -> PipelineReport:
     v = parameter(n)
     cover = build_cover_block(n)
     fiber = cover.manifold.surface("fiber")
-    gluing = resolve_surfaces(fiber, fiber, cover.intersections, name="gluing surface")
+    gluing = resolve_surfaces(fiber, fiber, cover.intersections)
     _assert_checks([
         _check("gluing surface: genus", gluing_genus(v), gluing.genus),
         _check("gluing surface: self-intersection", 2 * v**3, gluing.self_int),
@@ -400,11 +372,8 @@ def verify_formulas(n_max: int = 50) -> list[CheckResult]:
 class ExoticReport:
     """Distinct smooth structures on one member of the glued family."""
 
-    n: int
     base: ManifoldRecord
     family: FamilyReport
-    symplectic_count: int
-    non_symplectic_count: int
 
 
 def exotic_family(n: int, count: int) -> ExoticReport:
@@ -426,16 +395,7 @@ def exotic_family(n: int, count: int) -> ExoticReport:
             f"count must be at most ALEXANDER_GENUS_CAP = {ALEXANDER_GENUS_CAP}, got {count}"
         )
     base = replace(build_family(n).manifold, sw=SWLedger(LaurentPoly.one()))
-    base = base.with_surface(
-        "surviving torus", MarkedSurface(1, 0, "torus in the K3-block complement")
-    )
+    base = base.with_surface("surviving torus", MarkedSurface(1, 0))
     knots = [torus_knot(2, 2 * k + 1) for k in range(1, count + 1)]
     knots += nonfibered_nonmonic_family(count)
-    family = distinguish_family(base, knots, torus="surviving torus")
-    return ExoticReport(
-        n,
-        base,
-        family,
-        symplectic_count=len(family.symplectic()),
-        non_symplectic_count=len(family.non_symplectic()),
-    )
+    return ExoticReport(base, distinguish_family(base, knots, torus="surviving torus"))

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import blocks
-from .algebra import N, Poly, Scalar, as_scalar, divide_exact
+from .algebra import Poly, Scalar, as_scalar, divide_exact
 from .calculus import (
     BranchData,
     ManifoldRecord,
@@ -45,6 +45,7 @@ from .calculus import (
     blow_up,
     branched_cover,
     fiber_sum,
+    parameter,
     resolve_surfaces,
     riemann_hurwitz,
     surface_blowup,
@@ -480,7 +481,7 @@ def _kind_of(value) -> str:
 
 class _Evaluator:
     def __init__(self, n: int | None):
-        self.param: Scalar = N if n is None else Fraction(n)
+        self.param: Scalar = parameter(n)
         self.env: dict[str, object] = {}
 
     def run(self, script: Script):
@@ -584,5 +585,7 @@ class _Evaluator:
 
 def evaluate(script: Script, n: int | None = None):
     """Run a parsed script; returns the reported value (a scalar, marked
-    surface or manifold record).  n = None means symbolic mode."""
+    surface or manifold record).  n = None means symbolic mode; any other n
+    must be an integer >= 2 (ValueError otherwise, before any statement
+    runs)."""
     return _Evaluator(n).run(script)

@@ -64,6 +64,23 @@ def test_build_missing_file_exit_2(capsys):
     assert err
 
 
+@pytest.mark.parametrize("n", ["1", "0", "-3"])
+def test_build_parameter_below_2_exit_2(capsys, n):
+    code, out, err = run(capsys, "build", KN_SCRIPT, "--n", n)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: construction parameter must be >= 2 (n = {n} degenerates")
+
+
+def test_build_undecodable_script_exit_2(capsys, tmp_path):
+    script = tmp_path / "binary.geo"
+    script.write_bytes(b"\xff")
+    code, out, err = run(capsys, "build", str(script))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["geography", "--n-min", "2"])  # --n-max missing

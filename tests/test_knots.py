@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from fourgeo import knots
-from fourgeo.algebra import N, LaurentPoly, is_monic_symmetric
+from fourgeo.algebra import N, LaurentPoly
 from fourgeo.blocks import k3_elliptic
 from fourgeo.calculus import MarkedSurface, blow_up, surface_blowup
 from fourgeo.knots import (
@@ -19,6 +19,8 @@ from fourgeo.knots import (
     twist_knot,
     unknot,
 )
+
+from test_algebra import is_monic_symmetric
 
 
 def test_trefoil():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from fourgeo import pipeline
-from fourgeo.algebra import N, LaurentPoly, integer_valued, scalar_eval
+from fourgeo.algebra import N, LaurentPoly, integer_valued, scalar_eval, scalar_str
 from fourgeo.calculus import bmy_report
 from fourgeo.knots import distinguish_family, unknot
 from fourgeo.pipeline import (
@@ -30,11 +30,13 @@ def test_cover_block_symbolic():
 
 
 def test_cover_block_fiber_data():
-    fd = build_cover_block().fiber_data
-    assert fd.regular_euler == -3 * N**5 + 3 * N**4
-    assert fd.regular_genus == 1 + Fraction(3, 2) * N**5 - Fraction(3, 2) * N**4
-    assert fd.singular_euler == -2 * N**5 + 3 * N**4
-    assert fd.sphere_cover_euler == -2 * N**3 + 4 * N**2
+    got = {c.name: c.got for c in build_cover_block().checks}
+    assert got["regular fiber: euler"] == scalar_str(-3 * N**5 + 3 * N**4)
+    assert got["regular fiber: genus"] == scalar_str(
+        1 + Fraction(3, 2) * N**5 - Fraction(3, 2) * N**4
+    )
+    assert got["singular fiber: euler"] == scalar_str(-2 * N**5 + 3 * N**4)
+    assert got["covered exceptional sphere: euler"] == scalar_str(-2 * N**3 + 4 * N**2)
     assert build_cover_block().intersections == N**3
 
 
@@ -80,7 +82,8 @@ def test_k3_block_symbolic():
 def test_k3_block_numeric():
     m2 = build_k3_block(2)
     assert (m2.manifold.e, m2.manifold.sigma) == (38, -30)
-    assert (m2.surface.genus, m2.surface.self_int) == (57, -16)
+    glued = m2.manifold.surface("section")
+    assert (glued.genus, glued.self_int) == (57, -16)
     m3 = build_k3_block(3)
     assert (m3.manifold.e, m3.manifold.sigma) == (76, -68)
 
@@ -200,8 +203,8 @@ def test_verify_formulas_rejects_short_range():
 
 def test_exotic_family_partition_and_distinctness():
     report = exotic_family(3, 5)
-    assert report.symplectic_count == 5
-    assert report.non_symplectic_count == 5
+    assert len(report.family.symplectic()) == 5
+    assert len(report.family.non_symplectic()) == 5
     assert len(report.family.entries) == 10
     assert report.family.pairwise_distinct
     sw_values = {e.sw for e in report.family.entries}
