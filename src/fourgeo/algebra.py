@@ -29,10 +29,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence, Union
+
+from .record import Record
 
 Rational = Fraction
 
@@ -57,8 +58,7 @@ def _format_coeff_term(c: Fraction, power: int, symbol: str) -> str:
     return f"{abs(c)}*{var}"
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(Record):
     """Polynomial in n over the rationals, canonical dense form.
 
     coeffs[k] is the coefficient of n^k; trailing zeros are stripped so that
@@ -342,12 +342,16 @@ def at_least(p: Scalar, bound: int) -> bool:
     """True iff p(n) >= bound for every integer n >= 2, decided exactly.
 
     The Newton table at 2 settles it when p(2) >= bound and every higher
-    difference is nonnegative.  Otherwise the real roots of q = den*(p - bound)
-    above 2 are isolated by Descartes' rule of signs with bisection on
-    integer intervals up to a Cauchy root bound, down to unit width, and p is
-    evaluated at the interval endpoints: an integer n with p(n) < bound lies
-    between two roots, so it is an endpoint, or interior to an interval
-    with no root, where one interior value gives the sign of all.
+    difference is nonnegative.  Otherwise the real roots of p - bound above
+    2 are isolated by Descartes' rule of signs with bisection on integer
+    intervals up to a Cauchy root bound, and p is evaluated at the interval
+    endpoints.  An interval holding at most one root needs no bisection:
+    p - bound keeps one sign on each side of the root, so the interval's
+    first and last interior integers decide every integer in it.  The roots
+    are isolated on the squarefree part q = (p - bound) / gcd(p - bound, p'),
+    which has the same real roots, each simple, so Descartes' count falls
+    to 0 or 1 on small enough intervals.  The sign of q can differ from that
+    of p - bound, so only p itself is evaluated.
     """
     p = as_scalar(p)
     if isinstance(p, Fraction):
@@ -357,19 +361,17 @@ def at_least(p: Scalar, bound: int) -> bool:
         return False
     if all(d >= 0 for d in diffs[1:]):
         return True
-    q = list(p.integer_form[0][::-1])  # ascending
-    q[0] -= bound * den
-    lead = q[-1]
-    if lead < 0:
+    if p.leading_coefficient < 0:
         return False
-    top = 2 + max(abs(c) for c in q[:-1]) // lead  # every real root is below this
+    q = list(_squarefree(p - bound).integer_form[0][::-1])  # ascending
+    top = 2 + max(abs(c) for c in q[:-1]) // abs(q[-1])  # every real root is below this
     stack = [(2, top)]
     while stack:
         a, b = stack.pop()
         if b - a < 2:
             continue
-        if _sign_variations(_interval_transform(q, a, b - a)) == 0:
-            if p(a + 1) < bound:
+        if _sign_variations(_interval_transform(q, a, b - a)) < 2:
+            if p(a + 1) < bound or p(b - 1) < bound:
                 return False
             continue
         m = (a + b) // 2
@@ -377,6 +379,14 @@ def at_least(p: Scalar, bound: int) -> bool:
             return False
         stack += [(a, m), (m, b)]
     return True
+
+
+def _squarefree(p: Poly) -> Poly:
+    # p / gcd(p, p'), by Euclid's algorithm over the rationals
+    a, b = p, Poly(tuple(k * c for k, c in enumerate(p.coeffs))[1:])
+    while not b.is_zero():
+        a, b = b, divmod(a, b)[1]
+    return divmod(p, a)[0]
 
 
 def _horner(nums: Sequence[int], x: int) -> int:
@@ -408,8 +418,7 @@ def _sign_variations(cs: list[int]) -> int:
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
-@dataclass(frozen=True)
-class LaurentPoly:
+class LaurentPoly(Record):
     """Laurent polynomial in t over the integers, canonical sparse form.
 
     terms is an ascending-exponent tuple of (exponent, coefficient) pairs

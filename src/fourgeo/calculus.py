@@ -24,7 +24,6 @@ textual justification supplied by whoever asserted them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
@@ -39,12 +38,12 @@ from .algebra import (
     integer_valued,
     scalar_str,
 )
+from .record import Record, replace
 
 if TYPE_CHECKING:
     from .knots import SWLedger
 
-@dataclass(frozen=True)
-class Declared:
+class Declared(Record):
     """Tri-state attribute: asserted true/false with a reason, or unknown."""
 
     value: bool | None = None
@@ -74,8 +73,7 @@ def declared_false(reason: str) -> Declared:
     return Declared(False, reason)
 
 
-@dataclass(frozen=True)
-class MarkedSurface:
+class MarkedSurface(Record):
     """An embedded-surface descriptor: genus and self-intersection.  A
     record names its surfaces by their keys in `ManifoldRecord.surfaces`."""
 
@@ -94,8 +92,7 @@ class MarkedSurface:
         return f"genus {scalar_str(self.genus)}, self-intersection {scalar_str(self.self_int)}"
 
 
-@dataclass(frozen=True)
-class BranchData:
+class BranchData(Record):
     """Aggregate branch-divisor data for a cyclic branched cover.
 
     The divisor components are assumed smooth and pairwise disjoint; only
@@ -121,8 +118,7 @@ class BranchData:
         _require_count(self.index, "branching index", positive=True)
 
 
-@dataclass(frozen=True)
-class ManifoldRecord:
+class ManifoldRecord(Record):
     """A closed oriented 4-manifold, tracked through (e, sigma) plus flags."""
 
     e: Scalar
@@ -408,8 +404,7 @@ def fiber_sum(
     )
 
 
-@dataclass(frozen=True)
-class BmyReport:
+class BmyReport(Record):
     """Position of a record relative to the line c1^2 = 9*chi_h."""
 
     ratio: Fraction  # c1^2/chi_h, or the limit of that ratio in symbolic mode

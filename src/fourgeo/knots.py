@@ -18,20 +18,19 @@ grows like 3n^5) prints as a Delta[...](t^2) factor and cannot be compared.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
 from .algebra import LaurentPoly, Poly, Scalar, as_scalar, scalar_str
 from .calculus import ManifoldRecord, MarkedSurface, UNKNOWN, _require_count, declared_false
+from .record import Record, replace
 
 #: Largest knot genus whose Delta_K(t^2) factor a ledger expands when it is
 #: printed or compared (support size ~4g); larger genera stay factored.
 ALEXANDER_GENUS_CAP = 50_000
 
 
-@dataclass(frozen=True)
-class Knot:
+class Knot(Record):
     """A knot in the 3-sphere, described just closely enough for surgery:
     genus, Alexander polynomial, and whether it is fibered.
 
@@ -159,8 +158,7 @@ def nonfibered_nonmonic_family(count: int) -> list[Knot]:
     return [twist_knot(m) for m in range(2, count + 2)]
 
 
-@dataclass(frozen=True)
-class SWLedger:
+class SWLedger(Record):
     """Seiberg-Witten invariant relative to one distinguished torus class,
     in factored form: value times Delta_K(t^2) for every knot K in knots.
     """
@@ -226,8 +224,7 @@ def knot_surgery(
     return replace(record, sw=sw, symplectic=symplectic, log=record.log + (entry,))
 
 
-@dataclass(frozen=True)
-class FamilyEntry:
+class FamilyEntry(Record):
     knot: str
     sw: LaurentPoly
     monic: bool
@@ -235,8 +232,7 @@ class FamilyEntry:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class FamilyReport:
+class FamilyReport(Record):
     """Outcome of surgering one base record along a list of knots."""
 
     entries: tuple[FamilyEntry, ...]

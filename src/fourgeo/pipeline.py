@@ -30,7 +30,6 @@ and the discrepancy is reported as a warning, never an error).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import blocks
@@ -70,10 +69,10 @@ from .knots import (
     torus_knot,
     FamilyReport,
 )
+from .record import Record, replace
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     name: str
     expected: str
     got: str
@@ -81,8 +80,7 @@ class CheckResult:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class PipelineReport:
+class PipelineReport(Record):
     """A stage's manifold and checks.  The cover block adds its fiber
     intersection count, and the family the gluing surface and the two block
     reports it was built from."""
@@ -368,8 +366,7 @@ def verify_formulas(n_max: int = 50) -> list[CheckResult]:
     return checks
 
 
-@dataclass(frozen=True)
-class ExoticReport:
+class ExoticReport(Record):
     """Distinct smooth structures on one member of the glued family."""
 
     base: ManifoldRecord

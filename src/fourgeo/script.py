@@ -33,7 +33,6 @@ exactly what the equivalent direct calls compute.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import blocks
@@ -51,6 +50,7 @@ from .calculus import (
     surface_blowup,
 )
 from .knots import find_fibered_knot_of_genus, knot_surgery
+from .record import Record
 
 
 class ScriptError(Exception):
@@ -66,59 +66,51 @@ class ScriptError(Exception):
 # --------------------------------------------------------------------------
 # AST
 
-@dataclass(frozen=True)
-class Node:
-    line: int = field(default=0, compare=False, kw_only=True)
-    col: int = field(default=0, compare=False, kw_only=True)
+class Node(Record):
+    _metadata = ("line", "col")  # keyword-only, outside equality and hashing
+
+    line: int = 0
+    col: int = 0
 
 
-@dataclass(frozen=True)
 class Num(Node):
     value: int
 
 
-@dataclass(frozen=True)
 class Var(Node):
     """The construction parameter n."""
 
 
-@dataclass(frozen=True)
 class Name(Node):
     ident: str
 
 
-@dataclass(frozen=True)
 class BinOp(Node):
     op: str  # one of + - * / ^
     left: Node
     right: Node
 
 
-@dataclass(frozen=True)
 class Neg(Node):
     operand: Node
 
 
-@dataclass(frozen=True)
 class Call(Node):
     fn: str
     args: tuple[Node, ...]
     named: tuple[tuple[str, Node], ...]
 
 
-@dataclass(frozen=True)
 class Let(Node):
     name: str
     expr: Node
 
 
-@dataclass(frozen=True)
 class Report(Node):
     expr: Node
 
 
-@dataclass(frozen=True)
-class Script:
+class Script(Record):
     statements: tuple[Node, ...]
 
     @property
@@ -136,8 +128,7 @@ class Script:
 _PUNCT = "()=,+-*/^"
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(Record):
     kind: str  # IDENT, INT, punct itself, NEWLINE, EOF
     text: str
     line: int

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fourgeo.algebra import N
+from fourgeo.algebra import N, at_least
 from fourgeo.blocks import cp2_reversed, k3_elliptic, torus4
 from fourgeo.calculus import (
     BranchData,
@@ -280,6 +280,16 @@ def test_count_negative_far_out_is_rejected_quickly():
 def test_count_with_double_root_far_out_is_accepted_quickly():
     start = time.perf_counter()
     assert blow_up(make_manifold(0, 0), (N - 10**9) ** 2).e == (N - 10**9) ** 2
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("p", [
+    ((N - 10**15) ** 2 + 1) ** 8,  # a complex pair next to the axis, eightfold
+    (N - 10**40) ** 2 * (N**30 + 1),  # a double root far out, high degree
+])
+def test_sign_with_repeated_roots_far_out_is_decided_quickly(p):
+    start = time.perf_counter()
+    assert at_least(p, 0)
     assert time.perf_counter() - start < 1.0
 
 

@@ -1,11 +1,11 @@
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from fourgeo import cli, pipeline
 from fourgeo.cli import main
+from fourgeo.record import replace
 
 KN_SCRIPT = str(Path(__file__).resolve().parent.parent / "scripts" / "kn.geo")
 

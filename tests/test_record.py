@@ -1,0 +1,144 @@
+"""Record semantics: every record class is immutable and hashable, compares
+by exact type and field values, and is rebuilt (so validated) by replace."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import fourgeo
+from fourgeo import script
+from fourgeo.algebra import N, LaurentPoly, Poly
+from fourgeo.blocks import k3_elliptic
+from fourgeo.calculus import Declared, MarkedSurface, bmy_report, declared_true
+from fourgeo.knots import SWLedger, torus_knot
+from fourgeo.pipeline import branch_preset, build_cover_block, exotic_family
+from fourgeo.record import Record, replace
+from fourgeo.script import Name, Neg, Node, Num, Report, Var, parse
+
+
+def _samples() -> list[Record]:
+    cover = build_cover_block(3)
+    exotic = exotic_family(3, 2)
+    ast = parse("let X = blowup(T4, k=-n^2 + 1)\nreport X\n")
+    let, report = ast.statements
+    call = let.expr
+    binop = call.named[0][1]
+    return [
+        N**2 + 1,
+        LaurentPoly({1: 2, 0: -3, -1: 2}),
+        declared_true("a reason"),
+        MarkedSurface(1, 0),
+        branch_preset(N),
+        cover.manifold,
+        bmy_report(k3_elliptic()),
+        torus_knot(2, 5),
+        SWLedger(LaurentPoly.one(), (torus_knot(2, 3),)),
+        exotic.family.entries[0],
+        exotic.family,
+        exotic,
+        cover.checks[0],
+        cover,
+        Node(line=1, col=1),
+        ast, let, report, call, binop, binop.left, binop.left.operand.left, binop.right,
+        call.args[0],
+        script._tokenize("report 1")[0],
+    ]
+
+
+SAMPLES = _samples()
+IDS = [type(r).__name__ for r in SAMPLES]
+
+
+def _record_classes(cls=Record) -> set[type]:
+    found = set()
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("fourgeo."):
+            found.add(sub)
+        found |= _record_classes(sub)
+    return found
+
+
+def test_every_record_class_is_sampled():
+    assert {type(r) for r in SAMPLES} == _record_classes()
+
+
+@pytest.mark.parametrize("record", SAMPLES, ids=IDS)
+def test_records_refuse_assignment_and_deletion(record):
+    name = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, name, getattr(record, name))
+    with pytest.raises(AttributeError):
+        delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+@pytest.mark.parametrize("record", SAMPLES, ids=IDS)
+def test_equal_fields_give_equal_records_and_hashes(record):
+    copy = replace(record)
+    assert copy is not record
+    assert copy == record and not copy != record
+    assert hash(copy) == hash(record)
+    assert len({record, copy}) == 1
+
+
+def test_records_of_different_classes_are_unequal():
+    assert Neg(Num(1)) != Report(Num(1))
+    assert Var() != Node()
+
+    class Strict(Declared):
+        pass
+
+    assert Strict(True, "r") != declared_true("r")
+    assert Strict(True, "r") == Strict(True, "r")
+
+
+def test_replace_validates_again():
+    with pytest.raises(ValueError, match="surface genus must be nonnegative"):
+        replace(MarkedSurface(1, 0), genus=N - 5)
+    assert replace(N + 1, coeffs=(1, 0, 0)) == Poly.const(1)
+    with pytest.raises(TypeError, match="unknown or repeated field 'degree'"):
+        replace(N, degree=2)
+
+
+def test_construction_checks_its_arguments():
+    with pytest.raises(TypeError, match="missing the field 'self_int'"):
+        MarkedSurface(1)
+    with pytest.raises(TypeError, match="at most 2 positional fields"):
+        MarkedSurface(1, 0, 0)
+    with pytest.raises(TypeError, match="repeated field 'genus'"):
+        MarkedSurface(1, genus=0)
+    assert MarkedSurface(self_int=0, genus=1) == MarkedSurface(1, 0)
+
+
+def test_positions_are_keyword_only_and_not_compared():
+    first, second = parse("report 1+2"), parse("   report 1 +   2")
+    assert first == second and hash(first) == hash(second)
+    (a,), (b,) = first.statements, second.statements
+    assert (a.col, a.expr.col, a.expr.right.col) == (1, 9, 10)
+    assert (b.col, b.expr.col, b.expr.right.col) == (4, 13, 17)
+    assert Num(1, line=2, col=3) == Num(1) and Num(1) != Num(2)
+    with pytest.raises(TypeError, match="at most 1 positional fields"):
+        Num(1, 2, 3)
+
+
+def test_repr_lists_every_field():
+    assert repr(declared_true("r")) == "Declared(value=True, reason='r')"
+    assert repr(Num(3, line=1, col=2)) == "Num(line=1, col=2, value=3)"
+    assert repr(Name("X")) == "Name(line=0, col=0, ident='X')"
+
+
+def test_cli_import_loads_no_code_generation_machinery():
+    src = str(Path(fourgeo.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, fourgeo.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
