@@ -344,14 +344,17 @@ def at_least(p: Scalar, bound: int) -> bool:
     The Newton table at 2 settles it when p(2) >= bound and every higher
     difference is nonnegative.  Otherwise the real roots of p - bound above
     2 are isolated by Descartes' rule of signs with bisection on integer
-    intervals up to a Cauchy root bound, and p is evaluated at the interval
-    endpoints.  An interval holding at most one root needs no bisection:
-    p - bound keeps one sign on each side of the root, so the interval's
-    first and last interior integers decide every integer in it.  The roots
-    are isolated on the squarefree part q = (p - bound) / gcd(p - bound, p'),
-    which has the same real roots, each simple, so Descartes' count falls
-    to 0 or 1 on small enough intervals.  The sign of q can differ from that
-    of p - bound, so only p itself is evaluated.
+    intervals up to Fujiwara's root bound, and p is evaluated at the
+    interval endpoints.  An interval holding at most one root needs no
+    bisection: p - bound keeps one sign on each side of the root, so the
+    interval's first and last interior integers decide every integer in it.
+    The roots are isolated on the primitive squarefree part
+    q = (p - bound) / gcd(p - bound, p'), which has the same real roots,
+    each simple, so Descartes' count falls to 0 or 1 on small enough
+    intervals.  The sign of q can differ from that of p - bound, so only p
+    itself is evaluated.  Fujiwara's bound 2 * max_i |q_{d-i}/q_d|^(1/i),
+    the last term halved, stays within 2d times the largest root, where
+    Cauchy's 1 + max_i |q_i/q_d| can grow like its d-th power.
     """
     p = as_scalar(p)
     if isinstance(p, Fraction):
@@ -363,8 +366,14 @@ def at_least(p: Scalar, bound: int) -> bool:
         return True
     if p.leading_coefficient < 0:
         return False
-    q = list(_squarefree(p - bound).integer_form[0][::-1])  # ascending
-    top = 2 + max(abs(c) for c in q[:-1]) // abs(q[-1])  # every real root is below this
+    q = _squarefree(p - bound).integer_form[0][::-1]  # ascending
+    content = math.gcd(*q)
+    q = [c // content for c in q]
+    d, lead = len(q) - 1, abs(q[-1])
+    radius = max(
+        _root_ceiling(abs(q[d - i]), 2 * lead if i == d else lead, i) for i in range(1, d + 1)
+    )
+    top = 2 * radius + 1  # every real root is below this
     stack = [(2, top)]
     while stack:
         a, b = stack.pop()
@@ -379,6 +388,18 @@ def at_least(p: Scalar, bound: int) -> bool:
             return False
         stack += [(a, m), (m, b)]
     return True
+
+
+def _root_ceiling(num: int, den: int, k: int) -> int:
+    # an integer r >= 1 with r >= (num/den)^(1/k), the least one when num > 0
+    lo, hi = 0, 1 << max(0, -(-(num.bit_length() - den.bit_length() + 1) // k))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if den * mid**k >= num:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def _squarefree(p: Poly) -> Poly:

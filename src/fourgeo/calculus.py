@@ -221,8 +221,7 @@ def _require_count(k: Scalar, what: str, positive: bool = False) -> None:
 def _sheet_count(degree: Scalar, index: Scalar) -> Scalar:
     """d/m, the sheets meeting over the branch divisor; m must divide d."""
     sheets = divide_exact(degree, index)
-    bad = sheets.denominator != 1 if isinstance(sheets, Fraction) else not integer_valued(sheets)
-    if bad:
+    if not integer_valued(sheets):
         raise ValueError(
             f"branching index {scalar_str(index)} does not divide degree {scalar_str(degree)}"
         )
@@ -276,11 +275,7 @@ def branched_cover(record: ManifoldRecord, branch: BranchData) -> ManifoldRecord
     )
     sigma_new = (c1_new - 2 * e_new) / 3
     chi_new = (sigma_new + e_new) / 4
-    if isinstance(sigma_new, Fraction):
-        consistent = sigma_new.denominator == 1 and chi_new.denominator == 1
-    else:
-        consistent = integer_valued(sigma_new) and integer_valued(chi_new)
-    if not consistent:
+    if not (integer_valued(sigma_new) and integer_valued(chi_new)):
         raise ValueError(
             "inconsistent branch data: cover has sigma = "
             f"{scalar_str(sigma_new)}, chi_h = {scalar_str(chi_new)}"

@@ -236,8 +236,11 @@ class FamilyReport(Record):
     """Outcome of surgering one base record along a list of knots."""
 
     entries: tuple[FamilyEntry, ...]
-    pairwise_distinct: bool
     collisions: tuple[tuple[str, str], ...]
+
+    @property
+    def pairwise_distinct(self) -> bool:
+        return not self.collisions
 
     def symplectic(self) -> list[FamilyEntry]:
         return [e for e in self.entries if e.symplectic_candidate]
@@ -252,12 +255,14 @@ def distinguish_family(
     """Surger the base record along every knot and compare the ledgers.
 
     The resulting Seiberg-Witten values are grouped by ledger value; the
-    entries are partitioned into symplectic candidates (fibered knots, monic
-    polynomials) and non-symplectic candidates (non-monic polynomials).
+    entries are partitioned into symplectic candidates (records that
+    knot_surgery leaves symplectic: fibered knots on a symplectic base) and
+    the rest.
     """
     entries = []
     for knot in knots:
-        sw, factored = knot_surgery(base, knot, torus=torus).sw.expand()
+        surgered = knot_surgery(base, knot, torus=torus)
+        sw, factored = surgered.sw.expand()
         if factored:
             raise ValueError(
                 f"cannot compare an unexpanded Alexander polynomial: {factored[0].descriptor}"
@@ -268,7 +273,7 @@ def distinguish_family(
                 knot.descriptor,
                 sw,
                 monic=knot.monic,
-                symplectic_candidate=knot.fibered,
+                symplectic_candidate=surgered.symplectic.is_true(),
                 note=note,
             )
         )
@@ -279,4 +284,4 @@ def distinguish_family(
         pairs += [(i, j) for i in same]
         same.append(j)
     collisions = tuple((entries[i].knot, entries[j].knot) for i, j in sorted(pairs))
-    return FamilyReport(tuple(entries), not collisions, collisions)
+    return FamilyReport(tuple(entries), collisions)

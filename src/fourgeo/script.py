@@ -336,59 +336,6 @@ def parse(text: str) -> Script:
 
 
 # --------------------------------------------------------------------------
-# Pretty printer (canonical form; parse(print(ast)) is structurally ast)
-
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
-
-
-def _prec(node: Node) -> int:
-    if isinstance(node, BinOp):
-        return _PRECEDENCE[node.op]
-    if isinstance(node, Neg):
-        return 3
-    return 5
-
-
-def _print_expr(node: Node) -> str:
-    if isinstance(node, Num):
-        return str(node.value)
-    if isinstance(node, Var):
-        return "n"
-    if isinstance(node, Name):
-        return node.ident
-    if isinstance(node, Neg):
-        inner = _print_expr(node.operand)
-        if _prec(node.operand) < 3:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(node, BinOp):
-        left = _print_expr(node.left)
-        right = _print_expr(node.right)
-        p = _PRECEDENCE[node.op]
-        if _prec(node.left) < p or (node.op == "^" and _prec(node.left) <= p):
-            left = f"({left})"
-        if _prec(node.right) < p or (node.op in ("-", "/") and _prec(node.right) == p):
-            right = f"({right})"
-        joint = f" {node.op} " if node.op in ("+", "-") else node.op
-        return f"{left}{joint}{right}"
-    if isinstance(node, Call):
-        rendered = [_print_expr(a) for a in node.args]
-        rendered += [f"{k}={_print_expr(v)}" for k, v in node.named]
-        return f"{node.fn}({', '.join(rendered)})"
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def pretty(script: Script) -> str:
-    lines = []
-    for stmt in script.statements:
-        if isinstance(stmt, Let):
-            lines.append(f"let {stmt.name} = {_print_expr(stmt.expr)}")
-        else:
-            lines.append(f"report {_print_expr(stmt.expr)}")
-    return "\n".join(lines) + "\n"
-
-
-# --------------------------------------------------------------------------
 # Evaluator
 
 _BLOCKS = {

@@ -293,6 +293,16 @@ def test_sign_with_repeated_roots_far_out_is_decided_quickly(p):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("p", [
+    ((N - 10**15) ** 2 + 1) ** 8,  # p - 2 squarefree, complex roots clustered at 10^15
+    (N - 10**40) ** 2 * (N**30 + 1),  # a squarefree part with a large content
+])
+def test_sign_below_bound_far_out_is_decided_quickly(p):
+    start = time.perf_counter()
+    assert not at_least(p, 2)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_count_with_root_inside_the_range_is_accepted():
     # the Newton table at 2 reads 1, 0, 2: the sign needs root isolation
     assert blow_up(make_manifold(0, 0), (N - 3) ** 2).e == (N - 3) ** 2

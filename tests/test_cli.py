@@ -3,11 +3,16 @@ from pathlib import Path
 
 import pytest
 
-from fourgeo import cli, pipeline
+from fourgeo import pipeline
 from fourgeo.cli import main
 from fourgeo.record import replace
 
 KN_SCRIPT = str(Path(__file__).resolve().parent.parent / "scripts" / "kn.geo")
+
+
+# build, exotic and geography reject n = 1 with this one line
+_DEGENERATE = ("error: construction parameter must be >= 2 (n = 1 degenerates: "
+               "the lattice and branch data collapse)\n")
 
 
 def run(capsys, *argv):
@@ -69,7 +74,7 @@ def test_build_parameter_below_2_exit_2(capsys, n):
     code, out, err = run(capsys, "build", KN_SCRIPT, "--n", n)
     assert code == 2
     assert out == ""
-    assert err.startswith(f"error: construction parameter must be >= 2 (n = {n} degenerates")
+    assert err == _DEGENERATE.replace("n = 1", f"n = {n}")
 
 
 def test_build_undecodable_script_exit_2(capsys, tmp_path):
@@ -114,8 +119,10 @@ def test_geography_stdout_and_range_validation(capsys):
     assert out.startswith("n,e,sigma,")
     code, _, err = run(capsys, "geography", "--n-min", "1", "--n-max", "3")
     assert code == 2
+    assert err == _DEGENERATE
     code, _, err = run(capsys, "geography", "--n-min", "5", "--n-max", "3")
     assert code == 2
+    assert err == "error: empty range: 5 > 3\n"
 
 
 @pytest.mark.parametrize("flag", ["--csv", "--svg"])
@@ -165,7 +172,7 @@ def test_verify_paper_rejects_short_range(capsys, n_max):
     code, out, err = run(capsys, "verify-paper", "--n-max", n_max)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: --n-max must be at least 4")
+    assert err.startswith("error: n_max must be at least 4")
 
 
 def test_verify_paper_smallest_range(capsys):
@@ -223,19 +230,21 @@ def test_exotic_report(capsys):
 def test_exotic_validation(capsys):
     code, _, err = run(capsys, "exotic", "--n", "1", "--count", "4")
     assert code == 2
+    assert err == _DEGENERATE
     code, _, err = run(capsys, "exotic", "--n", "3", "--count", "0")
     assert code == 2
+    assert err == "error: count must be a positive integer, got 0\n"
 
 
 def test_exotic_rejects_count_above_genus_cap(capsys, monkeypatch):
     def fail(*args):
         raise AssertionError("nothing may be built above the cap")
 
-    monkeypatch.setattr(cli, "exotic_family", fail)
+    monkeypatch.setattr(pipeline, "build_family", fail)
     code, out, err = run(capsys, "exotic", "--n", "3", "--count", "50001")
     assert code == 2
     assert out == ""
-    assert "50000" in err
+    assert err == "error: count must be at most ALEXANDER_GENUS_CAP = 50000, got 50001\n"
 
 
 def _signed_sum(terms):

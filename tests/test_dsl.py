@@ -14,7 +14,6 @@ from fourgeo.script import (
     Var,
     evaluate,
     parse,
-    pretty,
 )
 
 KN_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "kn.geo"
@@ -178,18 +177,19 @@ def test_division_is_exact():
         evaluate(parse("report (n^2 + 1)/n\n"))
 
 
-def test_pretty_roundtrip_idempotent():
-    for text in (
-        KN_SCRIPT.read_text(),
-        "report 1 + 2*3 - 4/5\n",
-        "report -(n + 1)^2\n",
-        "report -n^2 - (1 - n)*(1 + n)\n",
-        "let A = riemann_hurwitz(0, 4, n^3, n)\nreport A\n",
+def test_precedence_and_associativity_evaluate_exactly():
+    for text, expected in (
+        ("report 1 + 2*3 - 4/5\n", Fraction(31, 5)),
+        ("report -(n + 1)^2\n", -((N + 1) ** 2)),
+        ("report -n^2 - (1 - n)*(1 + n)\n", -1),
+        ("let A = riemann_hurwitz(0, 4, n^3, n)\nreport A\n", -4 * N**3 + 4 * N**2),
     ):
-        ast = parse(text)
-        printed = pretty(ast)
-        assert parse(printed) == ast
-        assert pretty(parse(printed)) == printed
+        assert evaluate(parse(text)) == expected
+    record = evaluate(parse(KN_SCRIPT.read_text()))
+    targets = family_targets(N)
+    assert (record.c2, record.c1sq, record.chi_h, record.sigma) == (
+        targets["c2"], targets["c1sq"], targets["chi_h"], targets["sigma"]
+    )
 
 
 def test_numeric_and_symbolic_agree_through_script():

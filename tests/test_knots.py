@@ -5,7 +5,7 @@ import pytest
 from fourgeo import knots
 from fourgeo.algebra import N, LaurentPoly
 from fourgeo.blocks import k3_elliptic
-from fourgeo.calculus import MarkedSurface, blow_up, surface_blowup
+from fourgeo.calculus import MarkedSurface, blow_up, declared_false, surface_blowup
 from fourgeo.knots import (
     ALEXANDER_GENUS_CAP,
     Knot,
@@ -19,6 +19,7 @@ from fourgeo.knots import (
     twist_knot,
     unknot,
 )
+from fourgeo.record import replace
 
 from test_algebra import is_monic_symmetric
 
@@ -218,6 +219,13 @@ def test_distinguish_family_flags_trivial_and_partitions():
     assert [e.symplectic_candidate for e in report.entries] == [True, True, False]
     assert len(report.non_symplectic()) == 1
     assert report.pairwise_distinct
+
+
+def test_distinguish_family_on_non_symplectic_base_has_no_symplectic_candidate():
+    base = replace(k3_elliptic(), symplectic=declared_false("not symplectic, for the test"))
+    report = distinguish_family(base, [torus_knot(2, 3)])
+    assert not report.entries[0].symplectic_candidate
+    assert report.symplectic() == []
 
 
 def test_distinguish_family_detects_collisions():
