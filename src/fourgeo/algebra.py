@@ -48,14 +48,23 @@ def _to_fraction(x) -> Fraction:
     raise TypeError(f"expected an integer or Fraction, got {x!r}")
 
 
-def _format_coeff_term(c: Fraction, power: int, symbol: str) -> str:
-    # Render one monomial without its sign: "n^7", "3*n", "1/3*n^5", "22".
-    if power == 0:
-        return str(abs(c))
-    var = symbol if power == 1 else f"{symbol}^{power}"
-    if abs(c) == 1:
-        return var
-    return f"{abs(c)}*{var}"
+def _format_terms(terms: Iterable[tuple[int, Fraction | int]], symbol: str) -> str:
+    """Render nonzero (exponent, coefficient) pairs, highest exponent first,
+    as in "-n^7 + 3*n - 1/3" or "t - 1 + t^-1"; "0" when there are none."""
+    parts = []
+    for e, c in terms:
+        a = abs(c)
+        if e == 0:
+            term = str(a)
+        elif a == 1:
+            term = symbol if e == 1 else f"{symbol}^{e}"
+        else:
+            term = f"{a}*{symbol}" if e == 1 else f"{a}*{symbol}^{e}"
+        parts.append(f" - {term}" if c < 0 else f" + {term}")
+    text = "".join(parts)
+    if not text:
+        return "0"
+    return text[3:] if text[1] == "+" else f"-{text[3:]}"
 
 
 class Poly(Record):
@@ -268,19 +277,7 @@ class Poly(Record):
         return bool(self.coeffs)
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for power in range(self.degree, -1, -1):
-            c = self.coeffs[power]
-            if c == 0:
-                continue
-            term = _format_coeff_term(c, power, "n")
-            if not parts:
-                parts.append(f"-{term}" if c < 0 else term)
-            else:
-                parts.append(f"- {term}" if c < 0 else f"+ {term}")
-        return " ".join(parts)
+        return _format_terms([(e, c) for e, c in enumerate(self.coeffs) if c][::-1], "n")
 
     def __repr__(self):
         return f"Poly[{self}]"
@@ -572,20 +569,7 @@ class LaurentPoly(Record):
         return bool(self.terms)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in reversed(self.terms):
-            if e == 0:
-                term = str(abs(c))
-            else:
-                var = "t" if e == 1 else f"t^{e}"
-                term = var if abs(c) == 1 else f"{abs(c)}*{var}"
-            if not parts:
-                parts.append(f"-{term}" if c < 0 else term)
-            else:
-                parts.append(f"- {term}" if c < 0 else f"+ {term}")
-        return " ".join(parts)
+        return _format_terms(reversed(self.terms), "t")
 
     def __repr__(self):
         return f"LaurentPoly[{self}]"

@@ -297,11 +297,15 @@ def branched_cover(record: ManifoldRecord, branch: BranchData) -> ManifoldRecord
 
 def riemann_hurwitz(e_base, branch_points, degree, index) -> Scalar:
     """Euler characteristic of a degree-d cover of a curve, branched with
-    index m over the given number of points: d*(e - b) + (d/m)*b."""
+    index m over the given number of points: d*(e - b) + (d/m)*b.  d and m
+    must be positive counts, b a nonnegative one (ValueError otherwise)."""
     e_base = as_scalar(e_base)
     b = as_scalar(branch_points)
     d = as_scalar(degree)
     m = as_scalar(index)
+    _require_count(d, "cover degree", positive=True)
+    _require_count(m, "branching index", positive=True)
+    _require_count(b, "branch point count")
     return d * (e_base - b) + _sheet_count(d, m) * b
 
 

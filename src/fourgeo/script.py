@@ -32,6 +32,7 @@ exactly what the equivalent direct calls compute.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Callable
 from fractions import Fraction
 
@@ -125,48 +126,37 @@ class Script(Record):
 # --------------------------------------------------------------------------
 # Tokenizer
 
-_PUNCT = "()=,+-*/^"
+# Whitespace (str.isspace) matches no alternative and is skipped.  \d is
+# exactly the digits int() accepts, so "2²" is INT "2" and then a bad "²";
+# \w is str.isalnum or "_", and an identifier must also start with a letter
+# or "_", which _tokenize checks because re has no class for it.
+_TOKEN = re.compile(r"(?P<INT>\d+)|(?P<IDENT>\w+)|(?P<PUNCT>[()=,+\-*/^])|(?P<BAD>\S)")
+
+_Tok = tuple[str, str, int, int]  # (kind, text, line, col)
 
 
-class _Token(Record):
-    kind: str  # IDENT, INT, punct itself, NEWLINE, EOF
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
+def _tokenize(text: str) -> list[_Tok]:
+    """Split text into (kind, text, line, col) tuples; kind is INT, IDENT,
+    the punctuation character itself, NEWLINE (after each line that has a
+    token) or EOF."""
+    tokens = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0]
-        i = 0
-        while i < len(line):
-            c = line[i]
-            col = i + 1
-            if c.isspace():
-                i += 1
-                continue
-            if c.isdigit():
-                j = i
-                while j < len(line) and line[j].isdigit():
-                    j += 1
-                tokens.append(_Token("INT", line[i:j], lineno, col))
-                i = j
-            elif c.isalpha() or c == "_":
-                j = i
-                while j < len(line) and (line[j].isalnum() or line[j] == "_"):
-                    j += 1
-                tokens.append(_Token("IDENT", line[i:j], lineno, col))
-                i = j
-            elif c in _PUNCT:
-                tokens.append(_Token(c, c, lineno, col))
-                i += 1
-            else:
-                raise ScriptError(lineno, col, f"unexpected character {c!r}")
-        if tokens and tokens[-1].kind != "NEWLINE":
-            tokens.append(_Token("NEWLINE", "", lineno, len(raw) + 1))
-    tokens.append(_Token("EOF", "", text.count("\n") + 1, 1))
+        for m in _TOKEN.finditer(raw.split("#", 1)[0]):
+            kind, word, col = m.lastgroup, m.group(), m.start() + 1
+            if kind == "PUNCT":
+                kind = word
+            elif kind == "BAD" or (kind == "IDENT" and not (word[0].isalpha() or word[0] == "_")):
+                raise ScriptError(lineno, col, f"unexpected character {word[0]!r}")
+            tokens.append((kind, word, lineno, col))
+        if tokens and tokens[-1][0] != "NEWLINE":
+            tokens.append(("NEWLINE", "", lineno, len(raw) + 1))
+    tokens.append(("EOF", "", text.count("\n") + 1, 1))
     return tokens
+
+
+def _expected(what: str, tok: _Tok) -> ScriptError:
+    kind, word, line, col = tok
+    return ScriptError(line, col, f"expected {what}, found {word or kind!r}")
 
 
 # --------------------------------------------------------------------------
@@ -178,24 +168,26 @@ class _Parser:
         self.pos = 0
 
     @property
-    def current(self) -> _Token:
+    def current(self) -> _Tok:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
-        tok = self.current
-        if tok.kind != "EOF":
+    @property
+    def kind(self) -> str:
+        return self.tokens[self.pos][0]
+
+    def advance(self) -> _Tok:
+        tok = self.tokens[self.pos]
+        if tok[0] != "EOF":
             self.pos += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.current
-        if tok.kind != kind:
-            shown = tok.text or tok.kind
-            raise ScriptError(tok.line, tok.col, f"expected {what}, found {shown!r}")
+    def expect(self, kind: str, what: str) -> _Tok:
+        if self.kind != kind:
+            raise _expected(what, self.current)
         return self.advance()
 
     def skip_newlines(self):
-        while self.current.kind == "NEWLINE":
+        while self.kind == "NEWLINE":
             self.advance()
 
     def parse(self) -> Script:
@@ -203,36 +195,31 @@ class _Parser:
         bound: set[str] = set()
         report_seen = False
         self.skip_newlines()
-        while self.current.kind != "EOF":
-            tok = self.current
-            if tok.kind == "IDENT" and tok.text == "let":
+        while self.kind != "EOF":
+            kind, word, line, col = self.current
+            if kind == "IDENT" and word == "let":
                 self.advance()
-                name_tok = self.expect("IDENT", "a name to bind")
-                if name_tok.text in bound or name_tok.text in _BLOCKS or name_tok.text == "n":
-                    raise ScriptError(
-                        name_tok.line, name_tok.col, f"name {name_tok.text!r} is already bound"
-                    )
+                _, name, name_line, name_col = self.expect("IDENT", "a name to bind")
+                if name in bound or name in _BLOCKS or name == "n":
+                    raise ScriptError(name_line, name_col, f"name {name!r} is already bound")
                 self.expect("=", "'='")
-                expr = self.expression()
-                statements.append(Let(name_tok.text, expr, line=tok.line, col=tok.col))
-                bound.add(name_tok.text)
-            elif tok.kind == "IDENT" and tok.text == "report":
+                statements.append(Let(name, self.expression(), line=line, col=col))
+                bound.add(name)
+            elif kind == "IDENT" and word == "report":
                 if report_seen:
-                    raise ScriptError(tok.line, tok.col, "only one 'report' statement is allowed")
+                    raise ScriptError(line, col, "only one 'report' statement is allowed")
                 report_seen = True
                 self.advance()
-                expr = self.expression()
-                statements.append(Report(expr, line=tok.line, col=tok.col))
+                statements.append(Report(self.expression(), line=line, col=col))
             else:
-                shown = tok.text or tok.kind
-                raise ScriptError(tok.line, tok.col, f"expected 'let' or 'report', found {shown!r}")
-            if self.current.kind == "EOF":
+                raise _expected("'let' or 'report'", self.current)
+            if self.kind == "EOF":
                 break
             self.expect("NEWLINE", "end of statement")
             self.skip_newlines()
         if not report_seen:
-            tok = self.current
-            raise ScriptError(tok.line, tok.col, "script needs exactly one 'report' statement")
+            _, _, line, col = self.current
+            raise ScriptError(line, col, "script needs exactly one 'report' statement")
         return Script(tuple(statements))
 
     # expression parsing, lowest precedence first
@@ -242,92 +229,80 @@ class _Parser:
 
     def sum(self) -> Node:
         left = self.product()
-        while self.current.kind in ("+", "-"):
-            op = self.advance()
-            right = self.product()
-            left = BinOp(op.kind, left, right, line=op.line, col=op.col)
+        while self.kind in ("+", "-"):
+            op, _, line, col = self.advance()
+            left = BinOp(op, left, self.product(), line=line, col=col)
         return left
 
     def product(self) -> Node:
         left = self.unary()
-        while self.current.kind in ("*", "/"):
-            op = self.advance()
-            right = self.unary()
-            left = BinOp(op.kind, left, right, line=op.line, col=op.col)
+        while self.kind in ("*", "/"):
+            op, _, line, col = self.advance()
+            left = BinOp(op, left, self.unary(), line=line, col=col)
         return left
 
     def unary(self) -> Node:
-        if self.current.kind == "-":
-            op = self.advance()
-            return Neg(self.unary(), line=op.line, col=op.col)
+        if self.kind == "-":
+            _, _, line, col = self.advance()
+            return Neg(self.unary(), line=line, col=col)
         return self.power()
 
     def power(self) -> Node:
         base = self.atom()
-        if self.current.kind == "^":
-            op = self.advance()
-            exponent = self.unary()
-            return BinOp("^", base, exponent, line=op.line, col=op.col)
+        if self.kind == "^":
+            _, _, line, col = self.advance()
+            return BinOp("^", base, self.unary(), line=line, col=col)
         return base
 
     def atom(self) -> Node:
         tok = self.current
-        if tok.kind == "INT":
+        kind, word, line, col = tok
+        if kind == "INT":
             self.advance()
-            return Num(int(tok.text), line=tok.line, col=tok.col)
-        if tok.kind == "IDENT":
+            return Num(int(word), line=line, col=col)
+        if kind == "IDENT":
             self.advance()
-            if tok.text == "n":
-                return Var(line=tok.line, col=tok.col)
-            if self.current.kind == "(":
-                open_paren = self.advance()
+            if word == "n":
+                return Var(line=line, col=col)
+            if self.kind == "(":
+                _, _, open_line, open_col = self.advance()
                 args: list[Node] = []
                 named: list[tuple[str, Node]] = []
-                if self.current.kind != ")":
+                if self.kind != ")":
                     while True:
-                        if self.current.kind == "EOF" or self.current.kind == "NEWLINE":
-                            raise ScriptError(
-                                open_paren.line, open_paren.col, "unclosed '(' in call"
-                            )
-                        if (
-                            self.current.kind == "IDENT"
-                            and self.tokens[self.pos + 1].kind == "="
-                        ):
-                            key = self.advance()
+                        if self.kind == "EOF" or self.kind == "NEWLINE":
+                            raise ScriptError(open_line, open_col, "unclosed '(' in call")
+                        if self.kind == "IDENT" and self.tokens[self.pos + 1][0] == "=":
+                            _, key, key_line, key_col = self.advance()
                             self.advance()  # '='
                             value = self.expression()
-                            if any(k == key.text for k, _ in named):
-                                raise ScriptError(
-                                    key.line, key.col, f"duplicate argument {key.text!r}"
-                                )
-                            named.append((key.text, value))
+                            if any(k == key for k, _ in named):
+                                raise ScriptError(key_line, key_col, f"duplicate argument {key!r}")
+                            named.append((key, value))
                         else:
                             if named:
-                                bad = self.current
+                                _, _, bad_line, bad_col = self.current
                                 raise ScriptError(
-                                    bad.line,
-                                    bad.col,
-                                    "positional argument after named arguments",
+                                    bad_line, bad_col, "positional argument after named arguments"
                                 )
                             args.append(self.expression())
-                        if self.current.kind == ",":
+                        if self.kind == ",":
                             self.advance()
                             continue
                         break
-                if self.current.kind != ")":
-                    raise ScriptError(open_paren.line, open_paren.col, "unclosed '(' in call")
+                if self.kind != ")":
+                    raise ScriptError(open_line, open_col, "unclosed '(' in call")
                 self.advance()
-                return Call(tok.text, tuple(args), tuple(named), line=tok.line, col=tok.col)
-            return Name(tok.text, line=tok.line, col=tok.col)
-        if tok.kind == "(":
+                return Call(word, tuple(args), tuple(named), line=line, col=col)
+            return Name(word, line=line, col=col)
+        if kind == "(":
             self.advance()
             inner = self.expression()
-            if self.current.kind != ")":
-                raise ScriptError(tok.line, tok.col, "unclosed '('")
+            if self.kind != ")":
+                raise ScriptError(line, col, "unclosed '('")
             self.advance()
             return inner
-        shown = tok.text or tok.kind
-        raise ScriptError(tok.line, tok.col, f"expected a value, found {shown!r}")
+        raise _expected("a value", tok)
 
 
 def parse(text: str) -> Script:

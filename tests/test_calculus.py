@@ -1,3 +1,4 @@
+import re
 import time
 from fractions import Fraction
 
@@ -114,6 +115,19 @@ def test_riemann_hurwitz():
     assert riemann_hurwitz(0, 3 * N**2, N**3, N) == -3 * N**5 + 3 * N**4
     assert riemann_hurwitz(2, 4, N**3, N) == -2 * N**3 + 4 * N**2
     assert riemann_hurwitz(N**2 - 7, 0, 1, 1) == N**2 - 7
+
+
+@pytest.mark.parametrize("args, message", [
+    ((0, 1, 3, 0), "branching index must be a positive integer, got 0"),
+    ((0, 1, 0, 1), "cover degree must be a positive integer, got 0"),
+    ((0, 1, 2, -1), "branching index must be a positive integer, got -1"),
+    ((0, -1, 2, 1), "branch point count must be a nonnegative integer, got -1"),
+    ((0, 3 * N**2, N**3, 3 - N), "branching index must be positive for n >= 2, got -n + 3"),
+    ((0, N / 2, N**3, N), "branch point count must be integer-valued, got 1/2*n"),
+])
+def test_riemann_hurwitz_rejects_bad_counts(args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        riemann_hurwitz(*args)
 
 
 def test_euler_of_union():

@@ -51,6 +51,29 @@ def test_build_parse_error_exit_2(capsys, tmp_path):
     assert "line 1" in err
 
 
+def test_build_superscript_digit_is_located_exit_2(capsys, tmp_path):
+    script = tmp_path / "square.geo"
+    script.write_text("report 2²\n", encoding="utf-8")
+    code, out, err = run(capsys, "build", str(script))
+    assert code == 2
+    assert out == ""
+    assert err == f"{script}: line 1, col 9: unexpected character '²'\n"
+
+
+@pytest.mark.parametrize("args, message", [
+    ("0, 1, 3, 0", "branching index must be a positive integer, got 0"),
+    ("0, 1, 0, 1", "cover degree must be a positive integer, got 0"),
+    ("0, 1, 2, -1", "branching index must be a positive integer, got -1"),
+])
+def test_build_bad_riemann_hurwitz_counts_exit_1(capsys, tmp_path, args, message):
+    script = tmp_path / "rh.geo"
+    script.write_text(f"report riemann_hurwitz({args})\n")
+    code, out, err = run(capsys, "build", str(script))
+    assert code == 1
+    assert out == ""
+    assert err == f"{script}: line 1, col 8: {message}\n"
+
+
 def test_build_constraint_violation_exit_1(capsys, tmp_path):
     script = tmp_path / "clash.geo"
     script.write_text(

@@ -12,6 +12,7 @@ from fourgeo.script import (
     Num,
     ScriptError,
     Var,
+    _tokenize,
     evaluate,
     parse,
 )
@@ -39,6 +40,28 @@ def test_parse_error_locations():
     with pytest.raises(ScriptError) as err:
         parse("let A = 1\nlet B = ?\nreport A\n")
     assert (err.value.line, err.value.col) == (2, 9)
+
+
+def test_tokenize_every_kind_with_positions():
+    text = "let _x2 = f(3, k=-n^2 * 4/5) + 1  # note\n\nreport _x2"
+    assert _tokenize(text) == [
+        ("IDENT", "let", 1, 1), ("IDENT", "_x2", 1, 5), ("=", "=", 1, 9),
+        ("IDENT", "f", 1, 11), ("(", "(", 1, 12), ("INT", "3", 1, 13), (",", ",", 1, 14),
+        ("IDENT", "k", 1, 16), ("=", "=", 1, 17), ("-", "-", 1, 18), ("IDENT", "n", 1, 19),
+        ("^", "^", 1, 20), ("INT", "2", 1, 21), ("*", "*", 1, 23), ("INT", "4", 1, 25),
+        ("/", "/", 1, 26), ("INT", "5", 1, 27), (")", ")", 1, 28), ("+", "+", 1, 30),
+        ("INT", "1", 1, 32), ("NEWLINE", "", 1, 41),
+        ("IDENT", "report", 3, 1), ("IDENT", "_x2", 3, 8), ("NEWLINE", "", 3, 11),
+        ("EOF", "", 3, 1),
+    ]
+
+
+def test_integer_literal_is_decimal_digits_only():
+    # "²" passes str.isdigit but not int(): it is a bad character, located
+    with pytest.raises(ScriptError) as err:
+        parse("report 2²\n")
+    assert (err.value.line, err.value.col) == (1, 9)
+    assert err.value.message == "unexpected character '²'"
 
 
 def test_parse_requires_exactly_one_report():

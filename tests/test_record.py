@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 import fourgeo
-from fourgeo import script
 from fourgeo.algebra import N, LaurentPoly, Poly
 from fourgeo.blocks import k3_elliptic
 from fourgeo.calculus import Declared, MarkedSurface, bmy_report, declared_true
@@ -44,7 +43,6 @@ def _samples() -> list[Record]:
         Node(line=1, col=1),
         ast, let, report, call, binop, binop.left, binop.left.operand.left, binop.right,
         call.args[0],
-        script._tokenize("report 1")[0],
     ]
 
 
