@@ -5,9 +5,12 @@ Three kinds of values circulate through the calculus:
   Rational     an alias for fractions.Fraction (always reduced, positive
                denominator, arbitrary precision).
   Poly         a univariate polynomial in the construction parameter n with
-               rational coefficients, stored densely as a coefficient tuple
-               (index = power of n) with no trailing zeros.  The zero
-               polynomial is the empty tuple.
+               rational coefficients, stored as ascending integer
+               numerators over one positive denominator, in lowest terms
+               (gcd(den, *nums) = 1, no trailing zero).  The zero
+               polynomial is ((), 1).  Arithmetic and evaluation work on
+               plain ints; the Fraction coefficients (.coeffs) are built
+               only when read.
   LaurentPoly  a Laurent polynomial in t with *integer* coefficients, stored
                sparsely as (exponent, coefficient) pairs in ascending
                exponent order with no zero coefficients.  Integer-only
@@ -31,6 +34,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import cached_property
+from itertools import zip_longest
 from typing import Iterable, Mapping, Sequence, Union
 
 from .record import Record
@@ -67,63 +71,98 @@ def _format_terms(terms: Iterable[tuple[int, Fraction | int]], symbol: str) -> s
     return text[3:] if text[1] == "+" else f"-{text[3:]}"
 
 
-class Poly(Record):
-    """Polynomial in n over the rationals, canonical dense form.
+class _Coefficients:
+    # Poly.coeffs: the Fraction coefficients, built from the integer form on
+    # first read and then kept in the instance.  Read on the class it is the
+    # field's default, the empty tuple.
+    def __get__(self, poly, owner=None):
+        if poly is None:
+            return ()
+        coeffs = tuple(Fraction(c, poly._den) for c in poly._nums)
+        poly.__dict__["coeffs"] = coeffs
+        return coeffs
 
-    coeffs[k] is the coefficient of n^k; trailing zeros are stripped so that
-    equality is structural.  Supports +, -, *, ** with other polynomials,
-    Fractions and ints, and evaluation via call.
+
+def _lowest_terms(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    # (nums, den) with trailing zeros stripped and the common factor cancelled;
+    # den must be positive
+    while nums and not nums[-1]:
+        nums.pop()
+    g = math.gcd(den, *nums)
+    if g != 1:
+        return tuple([c // g for c in nums]), den // g
+    return tuple(nums), den
+
+
+class Poly(Record):
+    """Polynomial in n over the rationals, canonical integer form.
+
+    The value is sum(_nums[k] * n^k) / _den with _den > 0, gcd(_den, *_nums)
+    = 1 and no trailing zero in _nums, so equality is structural; the zero
+    polynomial is ((), 1).  The public constructor takes the coefficients
+    coeffs[k] of n^k as ints or Fractions; reading .coeffs gives them back as
+    Fractions.  Supports +, -, *, ** with other polynomials, Fractions and
+    ints, division by a nonzero constant, and evaluation via call.
     """
 
-    coeffs: tuple[Fraction, ...] = ()
+    coeffs: tuple[Fraction, ...] = _Coefficients()
 
     def __post_init__(self):
-        cs = [_to_fraction(c) for c in self.coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs = [_to_fraction(c) for c in self.__dict__.pop("coeffs")]
+        den = math.lcm(*(c.denominator for c in cs))
+        self.__dict__["_nums"], self.__dict__["_den"] = _lowest_terms(
+            [c.numerator * (den // c.denominator) for c in cs], den
+        )
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _reduced(cls, nums: list[int], den: int) -> "Poly":
+        # sum(nums[k] * n^k) / den for den > 0, put in lowest terms; the
+        # arithmetic builds its results here, past the checking constructor
+        self = object.__new__(cls)
+        self.__dict__["_nums"], self.__dict__["_den"] = _lowest_terms(nums, den)
+        return self
+
+    @classmethod
     def const(cls, c) -> "Poly":
-        return cls((_to_fraction(c),))
+        c = _to_fraction(c)
+        return cls._reduced([c.numerator], c.denominator)
 
     @classmethod
     def variable(cls) -> "Poly":
-        return cls((Fraction(0), Fraction(1)))
+        return cls._reduced([0, 1], 1)
 
     @classmethod
     def monomial(cls, power: int, c=1) -> "Poly":
         if power < 0:
             raise ValueError("monomial power must be nonnegative")
-        return cls((Fraction(0),) * power + (_to_fraction(c),))
+        c = _to_fraction(c)
+        return cls._reduced([0] * power + [c.numerator], c.denominator)
 
     # -- structure ---------------------------------------------------------
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self._nums) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._nums
 
     @property
     def leading_coefficient(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
+        return self.coefficient(self.degree)
 
     def constant_value(self) -> Fraction:
         """The value of a degree <= 0 polynomial as a Fraction."""
-        if len(self.coeffs) > 1:
+        if len(self._nums) > 1:
             raise ValueError(f"{self} is not constant")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return self.coefficient(0)
 
     def coefficient(self, power: int) -> Fraction:
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
+        if 0 <= power < len(self._nums):
+            return Fraction(self._nums[power], self._den)
         return Fraction(0)
 
     # -- arithmetic --------------------------------------------------------
@@ -133,51 +172,51 @@ class Poly(Record):
         if isinstance(other, Poly):
             return other
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return Poly.const(other)
+            return Poly._reduced([other.numerator], other.denominator)
         return None
+
+    def _plus(self, other: "Poly", sign: int) -> "Poly":
+        # self + sign * other over the least common denominator
+        den = math.lcm(self._den, other._den)
+        s, t = den // self._den, sign * (den // other._den)
+        return Poly._reduced(
+            [a * s + b * t for a, b in zip_longest(self._nums, other._nums, fillvalue=0)], den
+        )
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(tuple(out))
+        return self._plus(o, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly._reduced([-c for c in self._nums], self._den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return self._plus(o, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o._plus(self, -1)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.coeffs or not o.coeffs:
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(o.coeffs):
-                out[i + j] += a * b
-        return Poly(tuple(out))
+        a, b = self._nums, o._nums
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return Poly._reduced(out, self._den * o._den)
 
     __rmul__ = __mul__
 
@@ -190,17 +229,20 @@ class Poly(Record):
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def __truediv__(self, other):
         # Division by a nonzero constant only; use divide_exact for polynomials.
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            d = _to_fraction(other)
-            if d == 0:
+            if not other:
                 raise ZeroDivisionError("division by zero")
-            return Poly(tuple(c / d for c in self.coeffs))
+            num, den = other.numerator, other.denominator
+            if num < 0:
+                num, den = -num, -den
+            return Poly._reduced([c * den for c in self._nums], self._den * num)
         return NotImplemented
 
     def __divmod__(self, other):
@@ -219,62 +261,54 @@ class Poly(Record):
         return q, r
 
     @cached_property
-    def integer_form(self) -> tuple[tuple[int, ...], int]:
-        """(nums, den): den is the least common denominator of the
-        coefficients and nums the integer coefficients of den * p, from the
-        leading one down.  Evaluation and the Newton table work on these."""
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        return tuple(c.numerator * (den // c.denominator) for c in reversed(self.coeffs)), den
-
-    @cached_property
     def newton_table(self) -> tuple[tuple[int, ...], int]:
         """Forward differences at n = 2 over one common denominator.
 
-        Returns (diffs, den), den as in integer_form and diffs[k] =
+        Returns (diffs, den), den the stored denominator and diffs[k] =
         den * D^k p(2) for k = 0..deg p (the zero polynomial gives
         ((0,), 1)).  Since p(2 + m) = sum_k D^k p(2) * C(m, k) for every
         integer m, this one table decides integer-valuedness on Z and
         settles the sign of p on n >= 2 whenever diffs[1:] are all
         nonnegative.  Computed by Horner on the integer numerators.
         """
-        nums, den = self.integer_form
+        nums = self._nums
         values = [_horner(nums, x) for x in range(2, 3 + max(self.degree, 0))]
         diffs = []
         while values:
             diffs.append(values[0])
             values = [b - a for a, b in zip(values, values[1:])]
-        return tuple(diffs), den
+        return tuple(diffs), self._den
 
     def __call__(self, x) -> Fraction:
         """Exact evaluation at a rational point x = a/b: homogeneous Horner on
-        the integer form, sum of nums[i] * a^(d-i) * b^i over den * b^d."""
+        the integer form, sum of nums[i] * a^i * b^(d-i) over den * b^d."""
         x = _to_fraction(x)
-        nums, den = self.integer_form
+        nums = self._nums
         if not nums:
             return Fraction(0)
         a, b = x.numerator, x.denominator
         acc, scale = 0, 1
-        for c in nums:
+        for c in reversed(nums):
             acc = acc * a + c * scale
             scale *= b
-        return Fraction(acc, den * (scale // b))
+        return Fraction(acc, self._den * (scale // b))
 
     # -- comparison / display ----------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            return self._nums == other._nums and self._den == other._den
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return len(self.coeffs) <= 1 and self.constant_value() == other
+            return len(self._nums) <= 1 and self.constant_value() == other
         return NotImplemented
 
     def __hash__(self):
-        if len(self.coeffs) <= 1:
+        if len(self._nums) <= 1:
             return hash(self.constant_value())
-        return hash(self.coeffs)
+        return hash((self._nums, self._den))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._nums)
 
     def __str__(self):
         return _format_terms([(e, c) for e, c in enumerate(self.coeffs) if c][::-1], "n")
@@ -361,11 +395,9 @@ def at_least(p: Scalar, bound: int) -> bool:
         return False
     if all(d >= 0 for d in diffs[1:]):
         return True
-    if p.leading_coefficient < 0:
+    if p._nums[-1] < 0:
         return False
-    q = _squarefree(p - bound).integer_form[0][::-1]  # ascending
-    content = math.gcd(*q)
-    q = [c // content for c in q]
+    q = _squarefree(p - bound)._nums
     d, lead = len(q) - 1, abs(q[-1])
     radius = max(
         _root_ceiling(abs(q[d - i]), 2 * lead if i == d else lead, i) for i in range(1, d + 1)
@@ -400,17 +432,24 @@ def _root_ceiling(num: int, den: int, k: int) -> int:
 
 
 def _squarefree(p: Poly) -> Poly:
-    # p / gcd(p, p'), by Euclid's algorithm over the rationals
-    a, b = p, Poly(tuple(k * c for k, c in enumerate(p.coeffs))[1:])
+    # the primitive part of p / gcd(p, p'), by Euclid's algorithm over the
+    # rationals; making each remainder primitive keeps the numbers small
+    a, b = p, _primitive(Poly._reduced([k * c for k, c in enumerate(p._nums)][1:], 1))
     while not b.is_zero():
-        a, b = b, divmod(a, b)[1]
-    return divmod(p, a)[0]
+        a, b = b, _primitive(divmod(a, b)[1])
+    return _primitive(divmod(p, a)[0])
+
+
+def _primitive(p: Poly) -> Poly:
+    # p scaled to an integer polynomial whose coefficients have gcd 1
+    g = math.gcd(*p._nums) or 1
+    return Poly._reduced([c // g for c in p._nums], 1)
 
 
 def _horner(nums: Sequence[int], x: int) -> int:
-    # nums from the leading coefficient down
+    # nums in ascending order
     acc = 0
-    for c in nums:
+    for c in reversed(nums):
         acc = acc * x + c
     return acc
 

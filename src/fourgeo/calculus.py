@@ -74,8 +74,9 @@ def declared_false(reason: str) -> Declared:
 
 
 class MarkedSurface(Record):
-    """An embedded-surface descriptor: genus and self-intersection.  A
-    record names its surfaces by their keys in `ManifoldRecord.surfaces`."""
+    """An embedded-surface descriptor: genus and self-intersection (an
+    integer, or integer-valued when symbolic).  A record names its surfaces
+    by their keys in `ManifoldRecord.surfaces`."""
 
     genus: Scalar
     self_int: Scalar
@@ -84,6 +85,7 @@ class MarkedSurface(Record):
         object.__setattr__(self, "genus", as_scalar(self.genus))
         object.__setattr__(self, "self_int", as_scalar(self.self_int))
         _require_count(self.genus, "surface genus")
+        _require_integer(self.self_int, "surface self-intersection")
 
     def euler(self) -> Scalar:
         return 2 - 2 * self.genus
@@ -212,10 +214,17 @@ def _require_count(k: Scalar, what: str, positive: bool = False) -> None:
         if k.denominator != 1 or k < bound:
             raise ValueError(f"{what} must be a {kind} integer, got {k}")
         return
-    if not integer_valued(k):
-        raise ValueError(f"{what} must be integer-valued, got {scalar_str(k)}")
+    _require_integer(k, what)
     if not at_least(k, bound):
         raise ValueError(f"{what} must be {kind} for n >= 2, got {scalar_str(k)}")
+
+
+def _require_integer(k: Scalar, what: str) -> None:
+    """Validate an integer: an integer at numeric n, integer-valued on Z
+    (decided exactly) when symbolic."""
+    if not integer_valued(k):
+        kind = "an integer" if isinstance(k, Fraction) else "integer-valued"
+        raise ValueError(f"{what} must be {kind}, got {scalar_str(k)}")
 
 
 def _sheet_count(degree: Scalar, index: Scalar) -> Scalar:
@@ -297,12 +306,14 @@ def branched_cover(record: ManifoldRecord, branch: BranchData) -> ManifoldRecord
 
 def riemann_hurwitz(e_base, branch_points, degree, index) -> Scalar:
     """Euler characteristic of a degree-d cover of a curve, branched with
-    index m over the given number of points: d*(e - b) + (d/m)*b.  d and m
-    must be positive counts, b a nonnegative one (ValueError otherwise)."""
+    index m over the given number of points: d*(e - b) + (d/m)*b.  e must
+    be an integer, d and m positive counts, b a nonnegative one (ValueError
+    otherwise)."""
     e_base = as_scalar(e_base)
     b = as_scalar(branch_points)
     d = as_scalar(degree)
     m = as_scalar(index)
+    _require_integer(e_base, "base Euler characteristic")
     _require_count(d, "cover degree", positive=True)
     _require_count(m, "branching index", positive=True)
     _require_count(b, "branch point count")

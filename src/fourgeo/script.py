@@ -306,8 +306,16 @@ class _Parser:
 
 
 def parse(text: str) -> Script:
-    """Parse script text into an AST; raises ScriptError with location."""
-    return _Parser(text).parse()
+    """Parse script text into an AST; raises ScriptError with location.
+
+    The parser recurses once per level of nesting, so nesting deeper than
+    the interpreter's stack allows is an error at the token reached."""
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        _, _, line, col = parser.current
+        raise ScriptError(line, col, "expression nested too deeply") from None
 
 
 # --------------------------------------------------------------------------
@@ -396,6 +404,7 @@ class _Evaluator:
     def __init__(self, n: int | None):
         self.param: Scalar = parameter(n)
         self.env: dict[str, object] = {}
+        self.node: Node | None = None  # the innermost node entered
 
     def run(self, script: Script):
         result = None
@@ -407,6 +416,7 @@ class _Evaluator:
         return result
 
     def _eval(self, node: Node):
+        self.node = node
         if isinstance(node, Num):
             return Fraction(node.value)
         if isinstance(node, Var):
@@ -500,5 +510,12 @@ def evaluate(script: Script, n: int | None = None):
     """Run a parsed script; returns the reported value (a scalar, marked
     surface or manifold record).  n = None means symbolic mode; any other n
     must be an integer >= 2 (ValueError otherwise, before any statement
-    runs)."""
-    return _Evaluator(n).run(script)
+    runs).  Evaluation recurses once per level of the AST, so a tree deeper
+    than the interpreter's stack allows is an error at the innermost node
+    reached."""
+    evaluator = _Evaluator(n)
+    try:
+        return evaluator.run(script)
+    except RecursionError:
+        node = evaluator.node
+        raise ScriptError(node.line, node.col, "expression nested too deeply") from None

@@ -54,6 +54,30 @@ def test_eval_is_ring_homomorphism(a, b, k):
     assert (a + b)(k) == a(k) + b(k)
 
 
+def _in_lowest_terms(p: Poly) -> bool:
+    # the stored integer form: den > 0, gcd(den, *nums) = 1, no trailing zero
+    nums, den = p._nums, p._den
+    return den > 0 and math.gcd(den, *nums) == 1 and (not nums or nums[-1] != 0)
+
+
+nonzero_rationals = coefficients.filter(bool)
+
+
+@RING_CASES
+@given(polys, polys, st.integers(min_value=0, max_value=4), nonzero_rationals)
+def test_poly_results_are_in_lowest_terms(a, b, e, c):
+    for p in (a, b, a + b, a - b, a * b, a**e, a / c, -a, a + c, c - a, c * a):
+        assert _in_lowest_terms(p)
+        assert Poly(p.coeffs) == p
+
+
+@settings(deadline=None)
+@given(coefficients)
+def test_constant_poly_hashes_as_its_value(q):
+    assert Poly.const(q) == q and hash(Poly.const(q)) == hash(q)
+    assert hash(Poly((q, 0))) == hash(q)
+
+
 @settings(deadline=None)
 @given(polys)
 def test_cancellation_gives_canonical_zero(a):

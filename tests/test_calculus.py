@@ -124,6 +124,8 @@ def test_riemann_hurwitz():
     ((0, -1, 2, 1), "branch point count must be a nonnegative integer, got -1"),
     ((0, 3 * N**2, N**3, 3 - N), "branching index must be positive for n >= 2, got -n + 3"),
     ((0, N / 2, N**3, N), "branch point count must be integer-valued, got 1/2*n"),
+    ((half, 0, 1, 1), "base Euler characteristic must be an integer, got 1/2"),
+    ((N / 2, 0, 1, 1), "base Euler characteristic must be integer-valued, got 1/2*n"),
 ])
 def test_riemann_hurwitz_rejects_bad_counts(args, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -328,6 +330,15 @@ def test_symbolic_surface_genus_is_checked():
     with pytest.raises(ValueError, match="surface genus must be integer-valued"):
         MarkedSurface(N / 2, 0)
     assert MarkedSurface(N - 2, 0).genus == N - 2
+
+
+def test_surface_self_intersection_must_be_integral():
+    with pytest.raises(ValueError, match="^surface self-intersection must be an integer, got 1/2$"):
+        MarkedSurface(1, half)
+    with pytest.raises(ValueError, match="^surface self-intersection must be integer-valued"):
+        MarkedSurface(1, N / 2)
+    # integer-valued on Z although its coefficients are not integers
+    assert MarkedSurface(1, N * (N + 1) / 2).self_int == (N**2 + N) / 2
 
 
 def test_symbolic_genus_from_euler_is_checked():

@@ -189,6 +189,27 @@ def test_operation_error_carries_location():
     assert err.value.line == 2
 
 
+def test_surface_data_must_be_integral_in_scripts():
+    for text in ("report surface(genus=1, self_int=1/2)\n", "report riemann_hurwitz(1/2, 0, 1, 1)\n"):
+        for n in (None, 3):
+            with pytest.raises(ScriptError, match="must be an integer, got 1/2") as err:
+                evaluate(parse(text), n)
+            assert (err.value.line, err.value.col) == (1, 8)
+
+
+def test_deep_nesting_is_a_located_error():
+    assert evaluate(parse("report " + "(" * 150 + "1" + ")" * 150)) == 1
+    for text in ("report " + "(" * 200 + "1" + ")" * 200, "report " + "-" * 1000 + "1"):
+        with pytest.raises(ScriptError, match="expression nested too deeply") as err:
+            parse(text)
+        assert err.value.line == 1 and 8 < err.value.col < len(text)
+    # a long sum parses without recursion, but its tree is too deep to evaluate
+    ast = parse("let X = 1\nreport " + " + ".join(["n"] * 2000))
+    with pytest.raises(ScriptError, match="expression nested too deeply") as err:
+        evaluate(ast)
+    assert err.value.line == 2
+
+
 def test_exponent_must_be_integer():
     with pytest.raises(ScriptError, match="exponent"):
         evaluate(parse("report 2^n\n"))

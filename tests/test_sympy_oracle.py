@@ -4,7 +4,8 @@ the package itself never imports.
 The cases come from criterion 9's seeded generator (random.Random(1163)):
 polynomials in n with up to 6 coefficients in {-30..30}/{1, 2, 3, 6}, and
 Laurent polynomials in t with up to 6 terms, exponents in -6..6 and
-coefficients in -9..9.
+coefficients in -9..9.  Polynomials of degree about 30 with denominators up
+to 6! exercise the integer form with large common denominators.
 """
 
 import math
@@ -29,6 +30,19 @@ def rand_poly(rng):
             for _ in range(rng.randint(0, 6))
         )
     )
+
+
+def rand_big_poly(rng):
+    return Poly(
+        tuple(
+            Fraction(rng.randint(-10**6, 10**6), rng.randint(1, math.factorial(6)))
+            for _ in range(rng.randint(28, 32))
+        )
+    )
+
+
+def rand_rational(rng):
+    return Fraction(rng.randint(-20, 20), rng.randint(1, 12))
 
 
 def rand_laurent(rng):
@@ -65,17 +79,25 @@ def laurent_from_sympy(p, shift: int) -> LaurentPoly:
 
 def test_poly_arithmetic_matches_sympy():
     rng = random.Random(1163)
-    for _ in range(CASES):
-        a, b = rand_poly(rng), rand_poly(rng)
+    for case in range(CASES):
+        make = rand_big_poly if case % 10 == 0 else rand_poly
+        a, b = make(rng), make(rng)
         sa, sb = to_sympy(a), to_sympy(b)
         assert a + b == from_sympy(sa + sb)
+        assert a - b == from_sympy(sa - sb)
         assert a * b == from_sympy(sa * sb)
         if not b.is_zero():
             q, r = divmod(a, b)
             sq, sr = sympy.div(sa, sb)
             assert (q, r) == (from_sympy(sq), from_sympy(sr))
+        e = case % 5
+        assert a**e == from_sympy(sa**e)
+        c = rand_rational(rng) or Fraction(1, 7)
+        assert a / c == from_sympy(sa * sympy.Rational(c.denominator, c.numerator))
         k = rng.randint(-10, 10)
         assert a(k) == fraction(sa.eval(k))
+        x = rand_rational(rng)
+        assert a(x) == fraction(sa.eval(sympy.Rational(x.numerator, x.denominator)))
 
 
 def test_laurent_product_matches_sympy():
