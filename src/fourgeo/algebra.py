@@ -21,9 +21,13 @@ Three kinds of values circulate through the calculus:
                produce canonical terms and return through the private
                LaurentPoly._canonical, which stores them unchecked.
 
-A Scalar is a Fraction or a Poly.  Mixed arithmetic promotes the Fraction to
-a constant polynomial; a degree-0 Poly compares (and hashes) equal to the
-Fraction it denotes, so numeric and symbolic code paths can be shared.
+A Scalar is numeric or a Poly.  A numeric scalar is a plain int when it is
+integral and a Fraction only when it is not; as_scalar puts a number in that
+form, and Poly evaluation at an integer returns it.  Every division between
+scalars goes through quotient, the one exact division: int / int in Python
+would be a float.  Mixed arithmetic promotes a number to a constant
+polynomial; a degree-0 Poly compares (and hashes) equal to the number it
+denotes, so numeric and symbolic code paths can be shared.
 
 All values are immutable after construction and safe to share across threads.
 """
@@ -41,7 +45,7 @@ from .record import Record
 
 Rational = Fraction
 
-Scalar = Union[Fraction, "Poly"]
+Scalar = Union[int, Fraction, "Poly"]
 
 
 def _to_fraction(x) -> Fraction:
@@ -255,7 +259,7 @@ class Poly(Record):
         r = self
         while not r.is_zero() and r.degree >= o.degree:
             shift = r.degree - o.degree
-            t = Poly.monomial(shift, r.leading_coefficient / o.leading_coefficient)
+            t = Poly.monomial(shift, quotient(r.leading_coefficient, o.leading_coefficient))
             q = q + t
             r = r - t * o
         return q, r
@@ -279,19 +283,22 @@ class Poly(Record):
             values = [b - a for a, b in zip(values, values[1:])]
         return tuple(diffs), self._den
 
-    def __call__(self, x) -> Fraction:
-        """Exact evaluation at a rational point x = a/b: homogeneous Horner on
-        the integer form, sum of nums[i] * a^i * b^(d-i) over den * b^d."""
-        x = _to_fraction(x)
+    def __call__(self, x) -> int | Fraction:
+        """Exact evaluation, a numeric scalar.  At an integer x it is Horner
+        on the integer form over den; at a rational point x = a/b,
+        homogeneous Horner: sum of nums[i] * a^i * b^(d-i) over den * b^d."""
         nums = self._nums
+        if type(x) is int:
+            return quotient(_horner(nums, x), self._den)
+        x = _to_fraction(x)
         if not nums:
-            return Fraction(0)
+            return 0
         a, b = x.numerator, x.denominator
         acc, scale = 0, 1
         for c in reversed(nums):
             acc = acc * a + c * scale
             scale *= b
-        return Fraction(acc, self._den * (scale // b))
+        return quotient(acc, self._den * (scale // b))
 
     # -- comparison / display ----------------------------------------------
 
@@ -322,17 +329,32 @@ N = Poly.variable()
 
 
 def as_scalar(x) -> Scalar:
-    """Coerce an int/Fraction/Poly to a Scalar (Fraction or Poly)."""
-    if isinstance(x, Poly):
+    """Coerce an int/Fraction/Poly to a Scalar: a Poly stays a Poly, an
+    integral number becomes an int, any other rational stays a Fraction."""
+    if type(x) is int or isinstance(x, Poly):
         return x
-    return _to_fraction(x)
+    x = _to_fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
-def scalar_eval(s: Scalar, n) -> Fraction:
+def quotient(a: Scalar, b: Scalar) -> Scalar:
+    """a / b, exactly, for a nonzero number b: an int when b divides the int
+    a, else a Fraction, and a Poly when a is one.  Every division between
+    scalars goes through here; use divide_exact for a polynomial divisor."""
+    if isinstance(a, Poly):
+        return a / b
+    if not b:
+        raise ZeroDivisionError("division by zero")
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return as_scalar(Fraction(a, b))
+
+
+def scalar_eval(s: Scalar, n) -> Scalar:
     """Evaluate a Scalar at a concrete parameter value."""
-    if isinstance(s, Poly):
-        return s(n)
-    return _to_fraction(s)
+    return as_scalar(s(n) if isinstance(s, Poly) else s)
 
 
 def scalar_str(s: Scalar) -> str:
@@ -343,11 +365,9 @@ def divide_exact(a: Scalar, b: Scalar) -> Scalar:
     """Exact division of scalars; raises ValueError when b does not divide a."""
     a = as_scalar(a)
     b = as_scalar(b)
-    if isinstance(b, Fraction):
-        if b == 0:
-            raise ZeroDivisionError("division by zero")
-        return a / b
-    if isinstance(a, Fraction):
+    if not isinstance(b, Poly):
+        return quotient(a, b)
+    if not isinstance(a, Poly):
         a = Poly.const(a)
     q, r = divmod(a, b)
     if not r.is_zero():
@@ -363,7 +383,7 @@ def integer_valued(p: Scalar) -> bool:
     degree, is an integer.  This is total, no sampling involved.
     """
     p = as_scalar(p)
-    if isinstance(p, Fraction):
+    if not isinstance(p, Poly):
         return p.denominator == 1
     diffs, den = p.newton_table
     return all(d % den == 0 for d in diffs)
@@ -388,7 +408,7 @@ def at_least(p: Scalar, bound: int) -> bool:
     Cauchy's 1 + max_i |q_i/q_d| can grow like its d-th power.
     """
     p = as_scalar(p)
-    if isinstance(p, Fraction):
+    if not isinstance(p, Poly):
         return p >= bound
     diffs, den = p.newton_table
     if diffs[0] < bound * den:

@@ -1,8 +1,9 @@
 """Surgery calculus on 4-manifold records.
 
 A ManifoldRecord carries the Euler characteristic e and signature sigma as
-exact Scalars (rational numbers or polynomials in the parameter n); every
-other characteristic number is derived:
+exact Scalars (an int, a Fraction when not integral, or a polynomial in the
+parameter n); every other characteristic number is derived, and its
+divisions go through algebra.quotient, so a numeric record stays on ints:
 
     c1^2  = 3*sigma + 2*e        (Hirzebruch signature formula)
     chi_h = (sigma + e) / 4      (holomorphic Euler characteristic)
@@ -36,6 +37,7 @@ from .algebra import (
     at_least,
     divide_exact,
     integer_valued,
+    quotient,
     scalar_str,
 )
 from .record import Record, replace
@@ -150,7 +152,7 @@ class ManifoldRecord(Record):
 
     @cached_property
     def chi_h(self) -> Scalar:
-        return (self.sigma + self.e) / 4
+        return quotient(self.sigma + self.e, 4)
 
     def surface(self, name: str) -> MarkedSurface:
         for key, s in self.surfaces:
@@ -196,7 +198,7 @@ def parameter(n: int | None) -> Scalar:
             f"construction parameter must be >= 2 (n = {n} degenerates: "
             "the lattice and branch data collapse)"
         )
-    return Fraction(n)
+    return n
 
 
 def _require_count(k: Scalar, what: str, positive: bool = False) -> None:
@@ -210,7 +212,7 @@ def _require_count(k: Scalar, what: str, positive: bool = False) -> None:
     """
     bound = 1 if positive else 0
     kind = "positive" if positive else "nonnegative"
-    if isinstance(k, Fraction):
+    if not isinstance(k, Poly):
         if k.denominator != 1 or k < bound:
             raise ValueError(f"{what} must be a {kind} integer, got {k}")
         return
@@ -223,7 +225,7 @@ def _require_integer(k: Scalar, what: str) -> None:
     """Validate an integer: an integer at numeric n, integer-valued on Z
     (decided exactly) when symbolic."""
     if not integer_valued(k):
-        kind = "an integer" if isinstance(k, Fraction) else "integer-valued"
+        kind = "integer-valued" if isinstance(k, Poly) else "an integer"
         raise ValueError(f"{what} must be {kind}, got {scalar_str(k)}")
 
 
@@ -282,8 +284,8 @@ def branched_cover(record: ManifoldRecord, branch: BranchData) -> ManifoldRecord
         + 2 * (m - 1) * sheets * branch.k_dot_d
         + (m - 1) ** 2 * divide_exact(sheets * branch.d_sq, m)
     )
-    sigma_new = (c1_new - 2 * e_new) / 3
-    chi_new = (sigma_new + e_new) / 4
+    sigma_new = quotient(c1_new - 2 * e_new, 3)
+    chi_new = quotient(sigma_new + e_new, 4)
     if not (integer_valued(sigma_new) and integer_valued(chi_new)):
         raise ValueError(
             "inconsistent branch data: cover has sigma = "
@@ -323,7 +325,7 @@ def riemann_hurwitz(e_base, branch_points, degree, index) -> Scalar:
 def euler_of_union(component_eulers: Sequence, intersection_points) -> Scalar:
     """Euler characteristic of a union glued at transverse double points:
     sum of the components minus the number of intersection points."""
-    total: Scalar = Fraction(0)
+    total: Scalar = 0
     for e in component_eulers:
         total = total + as_scalar(e)
     return total - as_scalar(intersection_points)
@@ -332,9 +334,9 @@ def euler_of_union(component_eulers: Sequence, intersection_points) -> Scalar:
 def genus_from_euler(e) -> Scalar:
     """Genus of a closed orientable surface from its Euler characteristic."""
     e = as_scalar(e)
-    g = 1 - e / 2
-    if isinstance(e, Fraction):
-        if e.denominator != 1 or int(e) % 2 != 0:
+    g = 1 - quotient(e, 2)
+    if not isinstance(e, Poly):
+        if e.denominator != 1 or e % 2 != 0:
             raise ValueError(f"genus undefined: Euler characteristic {e} is not an even integer")
         if e > 2:
             raise ValueError(f"genus undefined: Euler characteristic {e} exceeds 2")
@@ -353,7 +355,7 @@ def resolve_surfaces(s1: MarkedSurface, s2: MarkedSurface, k) -> MarkedSurface:
     """Resolve k transverse positive intersections of two surfaces into one
     embedded surface: genus = g1 + g2 + k - 1, square = s1 + s2 + 2k."""
     k = as_scalar(k)
-    if (isinstance(k, Fraction) and k <= 0) or (isinstance(k, Poly) and k.is_zero()):
+    if k.is_zero() if isinstance(k, Poly) else k <= 0:
         raise ValueError("resolution needs at least one intersection")
     _require_count(k, "intersection count", positive=True)
     return MarkedSurface(
@@ -444,13 +446,13 @@ def bmy_report(record: ManifoldRecord) -> BmyReport:
                 f"deg c1^2 = {c1_p.degree} > deg chi_h = {chi_p.degree}"
             )
         # 0 when c1^2 has the lower degree
-        ratio = c1_p.coefficient(chi_p.degree) / chi_p.leading_coefficient
+        ratio = Fraction(quotient(c1_p.coefficient(chi_p.degree), chi_p.leading_coefficient))
         gap_p = gap if isinstance(gap, Poly) else Poly.const(gap)
         lead = gap_p.leading_coefficient
         side = "on" if gap_p.is_zero() else ("below" if lead > 0 else "above")
         return BmyReport(ratio, gap, side, True)
     if chi == 0:
         raise ValueError("ratio undefined: chi_h = 0")
-    ratio = c1 / chi
+    ratio = Fraction(quotient(c1, chi))
     side = "on" if gap == 0 else ("below" if gap > 0 else "above")
     return BmyReport(ratio, gap, side, False)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import format_decimal, scalar_str
+from .algebra import format_decimal, quotient, scalar_str
 from .calculus import BmyReport, ManifoldRecord, bmy_report, parameter
 from .pipeline import build_family
 
@@ -29,6 +29,8 @@ def scan(n_min: int, n_max: int) -> list[Row]:
     """Build the family once, symbolically, and evaluate it at each n in
     [n_min, n_max] into (n, record, bmy_report(record)) rows."""
     parameter(n_min)  # an integer >= 2, or ValueError
+    if not isinstance(n_max, int) or isinstance(n_max, bool):
+        raise ValueError(f"n_max must be an integer, got {n_max!r}")
     if n_min > n_max:
         raise ValueError(f"empty range: {n_min} > {n_max}")
     family = build_family().manifold
@@ -82,10 +84,10 @@ def render_svg(rows: list[Row]) -> str:
     plot_h = Fraction(_HEIGHT - 2 * _MARGIN)
 
     def px(chi: Fraction) -> Fraction:
-        return _MARGIN + chi / x_max * plot_w
+        return _MARGIN + quotient(chi, x_max) * plot_w
 
     def py(c1: Fraction) -> Fraction:
-        return _HEIGHT - _MARGIN - c1 / y_max * plot_h
+        return _HEIGHT - _MARGIN - quotient(c1, y_max) * plot_h
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
@@ -99,7 +101,7 @@ def render_svg(rows: list[Row]) -> str:
     ]
     for slope, dash in ((8, "6,4"), (9, "")):
         # clip the ray c1^2 = slope*chi_h to the plot box
-        x_end = min(x_max, y_max / slope)
+        x_end = min(x_max, quotient(y_max, slope))
         y_end = slope * x_end
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         parts.append(

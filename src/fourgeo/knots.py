@@ -18,7 +18,6 @@ grows like 3n^5) prints as a Delta[...](t^2) factor and cannot be compared.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cached_property
 
 from .algebra import LaurentPoly, Poly, Scalar, as_scalar, scalar_str
@@ -138,7 +137,7 @@ def find_fibered_knot_of_genus(genus) -> Knot:
     _require_count(genus, "knot genus")
     if genus == 0:
         return unknot()
-    return torus_knot(2, 2 * int(genus) + 1)
+    return torus_knot(2, 2 * genus + 1)
 
 
 def twist_knot(m: int) -> Knot:
@@ -153,7 +152,7 @@ def twist_knot(m: int) -> Knot:
 def nonfibered_nonmonic_family(count: int) -> list[Knot]:
     """count twist knots (m = 2 .. count+1): pairwise-distinct non-monic
     Alexander polynomials, none fibered."""
-    if not isinstance(count, int) or count < 1:
+    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
         raise ValueError(f"family size must be a positive integer, got {count}")
     return [twist_knot(m) for m in range(2, count + 2)]
 
@@ -171,7 +170,7 @@ class SWLedger(Record):
         the knots whose factors (larger or symbolic genus) stay unexpanded."""
         value, factored = self.value, ()
         for knot in self.knots:
-            if isinstance(knot.genus, Fraction) and knot.genus <= ALEXANDER_GENUS_CAP:
+            if not isinstance(knot.genus, Poly) and knot.genus <= ALEXANDER_GENUS_CAP:
                 value = value * knot.alexander.substitute_square()
             else:
                 factored += (knot,)

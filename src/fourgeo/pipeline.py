@@ -40,6 +40,7 @@ from .algebra import (
     as_scalar,
     format_decimal,
     integer_valued,
+    quotient,
     scalar_eval,
     scalar_str,
 )
@@ -134,8 +135,8 @@ def build_cover_block(n: int | None = None) -> PipelineReport:
     checks = [
         _check("cover block: c2", v**7, cover.c2),
         _check("cover block: c1^2", 3 * v**7 - 4 * v**5, cover.c1sq),
-        _check("cover block: sigma", (v**7 - 4 * v**5) / 3, cover.sigma),
-        _check("cover block: chi_h", (v**7 - v**5) / 3, cover.chi_h),
+        _check("cover block: sigma", quotient(v**7 - 4 * v**5, 3), cover.sigma),
+        _check("cover block: chi_h", quotient(v**7 - v**5, 3), cover.chi_h),
         _check("regular fiber: euler", -3 * v**5 + 3 * v**4, regular_euler),
         _check(
             "regular fiber: genus",
@@ -199,8 +200,8 @@ def family_targets(v: Scalar) -> dict[str, Scalar]:
     return {
         "c2": v**7 + 12 * v**5 - 12 * v**4 + 6 * v**3 + 22,
         "c1sq": 3 * v**7 + 20 * v**5 - 24 * v**4 + 6 * v**3 + 2,
-        "chi_h": (v**7 + 8 * v**5) / 3 - 3 * v**4 + v**3 + 2,
-        "sigma": (v**7 - 4 * v**5) / 3 - 2 * v**3 - 14,
+        "chi_h": quotient(v**7 + 8 * v**5, 3) - 3 * v**4 + v**3 + 2,
+        "sigma": quotient(v**7 - 4 * v**5, 3) - 2 * v**3 - 14,
     }
 
 
@@ -387,7 +388,7 @@ def exotic_family(n: int, count: int) -> ExoticReport:
     fresh ledger relative to that class is declared nonzero, as the base is
     symplectic, and normalized to 1.
     """
-    if not isinstance(count, int) or count < 1:
+    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
         raise ValueError(f"count must be a positive integer, got {count}")
     if count > ALEXANDER_GENUS_CAP:
         # T(2, 2*count+1) has genus count; above the cap its ledger stays

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable
-from fractions import Fraction
 
 from . import blocks
 from .algebra import Poly, Scalar, as_scalar, divide_exact
@@ -418,7 +417,7 @@ class _Evaluator:
     def _eval(self, node: Node):
         self.node = node
         if isinstance(node, Num):
-            return Fraction(node.value)
+            return node.value
         if isinstance(node, Var):
             return self.param
         if isinstance(node, Name):
@@ -444,12 +443,13 @@ class _Evaluator:
         if _kind_of(left) != "scalar" or _kind_of(right) != "scalar":
             raise ScriptError(node.line, node.col, f"'{node.op}' applies to scalars only")
         try:
+            # a sum, difference or product of Fractions can be integral
             if node.op == "+":
-                return left + right
+                return as_scalar(left + right)
             if node.op == "-":
-                return left - right
+                return as_scalar(left - right)
             if node.op == "*":
-                return left * right
+                return as_scalar(left * right)
             if node.op == "/":
                 return divide_exact(left, right)
             exponent = as_scalar(right)

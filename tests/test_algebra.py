@@ -97,6 +97,16 @@ def test_scalar_eval():
     assert scalar_eval(Fraction(5, 2), 3) == Fraction(5, 2)
 
 
+def test_eval_at_an_integer_is_an_int_when_integral():
+    p = (N**3 + 2 * N) / 3  # integer-valued
+    assert type(p(4)) is int and p(4) == 24
+    assert type(scalar_eval(p, 5)) is int
+    assert p(Fraction(1, 2)) == Fraction(3, 8)
+    assert (N / 2)(3) == Fraction(3, 2)
+    assert type((N / 2)(Fraction(4))) is int
+    assert type(Poly()(5)) is int
+
+
 def laurent(d):
     return LaurentPoly(d)
 

@@ -4,10 +4,11 @@ canonical forms, and the exact integrality and sign decisions)."""
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fourgeo.algebra import LaurentPoly, Poly, at_least, integer_valued
+from fourgeo.algebra import LaurentPoly, Poly, at_least, integer_valued, quotient
 from fourgeo.knots import torus_knot_alexander
 
 # Fractions in [-50, 50] with denominator at most 12, built from integer
@@ -182,3 +183,16 @@ def test_at_least_matches_brute_force(coeffs, double_roots, shift, bound):
         top = 3 + int(2 * max(float(r) ** (1 / i) for i, r in enumerate(ratios, 1)))
         expected = all(p(k) >= bound for k in range(2, top + 1))
     assert at_least(p, bound) == expected
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.integers(min_value=-10**30, max_value=10**30), st.integers(min_value=-10**6, max_value=10**6))
+def test_quotient_of_ints_is_exact(a, b):
+    if b == 0:
+        with pytest.raises(ZeroDivisionError):
+            quotient(a, b)
+        return
+    q = quotient(a, b)
+    assert q == Fraction(a, b)
+    assert isinstance(q, int) == (a % b == 0)
+    assert not isinstance(q, (bool, float))

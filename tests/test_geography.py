@@ -39,3 +39,9 @@ def test_scan_validates_its_range():
         geography.scan(2.5, 5)
     with pytest.raises(ValueError, match="empty range"):
         geography.scan(6, 5)
+
+
+def test_scan_upper_end_must_be_an_int():
+    for n_max in (4.0, True, "4"):
+        with pytest.raises(ValueError, match="n_max must be an integer"):
+            geography.scan(2, n_max)

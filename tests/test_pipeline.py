@@ -229,6 +229,12 @@ def test_exotic_family_validation():
         exotic_family(1, 5)
 
 
+def test_exotic_family_count_must_be_an_int():
+    for count in (True, 2.0):
+        with pytest.raises(ValueError, match="count must be a positive integer"):
+            exotic_family(3, count)
+
+
 def test_exotic_family_rejects_count_above_genus_cap(monkeypatch):
     def fail(*args):
         raise AssertionError("nothing may be built above the cap")

@@ -1,0 +1,94 @@
+"""The numeric half of the Scalar contract: at a concrete n every number a
+build holds is an int when integral and a Fraction only when not, never a
+float, and it equals the symbolic family evaluated at n."""
+
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from fourgeo import geography
+from fourgeo.algebra import Poly, as_scalar, quotient, scalar_eval
+from fourgeo.pipeline import build_family
+from fourgeo.record import Record
+from fourgeo.script import evaluate, parse
+
+KN = Path(__file__).resolve().parent.parent / "scripts" / "kn.geo"
+
+SYMBOLIC = build_family()
+
+
+def _numbers(value, where):
+    """Every number held by value, walking Record fields and tuples, as
+    (path, number) pairs; bools are flags, not scalars."""
+    if isinstance(value, Record):
+        for f in value._fields:
+            yield from _numbers(getattr(value, f), f"{where}.{f}")
+    elif isinstance(value, tuple):
+        for i, item in enumerate(value):
+            yield from _numbers(item, f"{where}[{i}]")
+    elif isinstance(value, (int, float, Fraction, Poly)) and not isinstance(value, bool):
+        yield where, value
+
+
+def _assert_numeric_scalars(value, where):
+    found = list(_numbers(value, where))
+    assert found
+    for path, x in found:
+        assert type(x) is int or (type(x) is Fraction and x.denominator != 1), (path, x)
+
+
+def _assert_matches_symbolic(record, symbolic, n, where):
+    for key, value in record.invariants().items():
+        _assert_numeric_scalars(value, f"{where}.{key}")
+        assert value == scalar_eval(symbolic.invariants()[key], n), (where, key)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_numeric_build_holds_ints(n):
+    report = build_family(n)
+    _assert_numeric_scalars(report, f"build_family({n})")
+    for stage in ("cover", "k3"):
+        _assert_matches_symbolic(
+            getattr(report, stage).manifold, getattr(SYMBOLIC, stage).manifold, n, stage
+        )
+    _assert_matches_symbolic(report.manifold, SYMBOLIC.manifold, n, "family")
+
+
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_numeric_script_holds_ints(n):
+    record = evaluate(parse(KN.read_text(encoding="utf-8")), n)
+    _assert_numeric_scalars(record, f"kn.geo at n = {n}")
+    _assert_matches_symbolic(record, SYMBOLIC.manifold, n, "kn.geo")
+
+
+def test_script_arithmetic_returns_ints_when_integral():
+    value = evaluate(parse("report 1/2 + 1/2\n"), 3)
+    assert type(value) is int and value == 1
+    assert evaluate(parse("report 2/3 * 3/4\n"), 3) == Fraction(1, 2)
+    assert type(evaluate(parse("report n - 1/2 + 1/2\n"), 3)) is int
+
+
+def test_scan_rows_hold_ints():
+    for n, record, _ in geography.scan(2, 30):
+        _assert_matches_symbolic(record, SYMBOLIC.manifold, n, f"scan row {n}")
+
+
+def test_as_scalar_normalizes_numbers():
+    assert type(as_scalar(Fraction(6, 3))) is int
+    assert as_scalar(Fraction(1, 3)) == Fraction(1, 3)
+    assert type(as_scalar(7)) is int
+    with pytest.raises(TypeError):
+        as_scalar(True)
+    with pytest.raises(TypeError):
+        as_scalar(0.5)
+
+
+def test_quotient_keeps_each_kind():
+    assert type(quotient(12, 4)) is int
+    assert quotient(12, 8) == Fraction(3, 2)
+    assert type(quotient(Fraction(3, 2), Fraction(1, 2))) is int
+    n = Poly((0, 1))
+    assert quotient(n * 6, 3) == n * 2
+    with pytest.raises(ZeroDivisionError):
+        quotient(n, 0)
