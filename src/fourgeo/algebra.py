@@ -12,14 +12,19 @@ Three kinds of values circulate through the calculus:
                plain ints; the Fraction coefficients (.coeffs) are built
                only when read.
   LaurentPoly  a Laurent polynomial in t with *integer* coefficients, stored
-               sparsely as (exponent, coefficient) pairs in ascending
-               exponent order with no zero coefficients.  Integer-only
-               coefficients are deliberate: the knot polynomials carried in
-               this form are integral, and rational leakage indicates a
-               normalization bug upstream.  The public constructor checks
-               and normalizes its input; the arithmetic operations already
-               produce canonical terms and return through the private
-               LaurentPoly._canonical, which stores them unchecked.
+               densely as its lowest exponent and the tuple of every
+               coefficient from there up, with no zero at either end; zero
+               is (0, ()).  Integer-only coefficients are deliberate: the
+               knot polynomials carried in this form are integral, and
+               rational leakage indicates a normalization bug upstream.
+               The public constructor checks and normalizes a mapping or
+               iterable of (exponent, coefficient) pairs; the arithmetic
+               works on the int tuples and builds its results through the
+               private LaurentPoly._dense, and the pairs (.terms) are built
+               only when read.  Storage grows with the span, not with the
+               number of nonzero terms; every Laurent polynomial the package
+               builds is a knot polynomial or a ledger, and each expanded
+               knot factor spans at most 4 * knots.ALEXANDER_GENUS_CAP.
 
 A Scalar is numeric or a Poly.  A numeric scalar is a plain int when it is
 integral and a Fraction only when it is not; as_scalar puts a number in that
@@ -35,11 +40,10 @@ All values are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from functools import cached_property
-from itertools import zip_longest
-from typing import Iterable, Mapping, Sequence, Union
+from itertools import compress, zip_longest
+from typing import Mapping, Sequence, Union
 
 from .record import Record
 
@@ -56,19 +60,31 @@ def _to_fraction(x) -> Fraction:
     raise TypeError(f"expected an integer or Fraction, got {x!r}")
 
 
-def _format_terms(terms: Iterable[tuple[int, Fraction | int]], symbol: str) -> str:
-    """Render nonzero (exponent, coefficient) pairs, highest exponent first,
-    as in "-n^7 + 3*n - 1/3" or "t - 1 + t^-1"; "0" when there are none."""
+def _format_dense(low: int, cs: Sequence[Fraction | int], symbol: str) -> str:
+    """Render sum(cs[i] * symbol^(low + i)), highest power first and zero
+    coefficients skipped, as in "-n^7 + 3*n - 1/3" or "t - 1 + t^-1"; "0"
+    when cs is empty.  cs[-1] must be nonzero."""
     parts = []
-    for e, c in terms:
-        a = abs(c)
-        if e == 0:
-            term = str(a)
-        elif a == 1:
-            term = symbol if e == 1 else f"{symbol}^{e}"
+    plus, minus = f" + {symbol}^", f" - {symbol}^"
+    # a polynomial in symbol^2, such as a ledger Delta(t^2), skips its odd
+    # offsets
+    step = 1 if any(cs[1::2]) else 2
+    rev = cs[::-step]
+    for e, c in compress(zip(range(low + len(cs) - 1, low - 1, -step), rev), rev):
+        # +-symbol^e, nearly every term of a knot polynomial, first
+        if c == 1 and e != 0 and e != 1:
+            parts.append(f"{plus}{e}")
+        elif c == -1 and e != 0 and e != 1:
+            parts.append(f"{minus}{e}")
         else:
-            term = f"{a}*{symbol}" if e == 1 else f"{a}*{symbol}^{e}"
-        parts.append(f" - {term}" if c < 0 else f" + {term}")
+            a = abs(c)
+            if e == 0:
+                term = str(a)
+            elif a == 1:
+                term = symbol
+            else:
+                term = f"{a}*{symbol}" if e == 1 else f"{a}*{symbol}^{e}"
+            parts.append(f" - {term}" if c < 0 else f" + {term}")
     text = "".join(parts)
     if not text:
         return "0"
@@ -318,7 +334,7 @@ class Poly(Record):
         return bool(self._nums)
 
     def __str__(self):
-        return _format_terms([(e, c) for e, c in enumerate(self.coeffs) if c][::-1], "n")
+        return _format_dense(0, self.coeffs, "n")
 
     def __repr__(self):
         return f"Poly[{self}]"
@@ -495,22 +511,33 @@ def _sign_variations(cs: list[int]) -> int:
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
-class LaurentPoly(Record):
-    """Laurent polynomial in t over the integers, canonical sparse form.
+class _Terms:
+    # LaurentPoly.terms: the (exponent, coefficient) pairs of the nonzero
+    # coefficients, built from the dense form on first read and then kept
+    # in the instance.  Read on the class it is the field's default, ().
+    def __get__(self, poly, owner=None):
+        if poly is None:
+            return ()
+        terms = tuple((e, c) for e, c in enumerate(poly._cs, poly._low) if c)
+        poly.__dict__["terms"] = terms
+        return terms
 
-    terms is an ascending-exponent tuple of (exponent, coefficient) pairs
-    with every coefficient a nonzero int.  The constructor accepts any
-    mapping or iterable of pairs and normalizes it.
+
+class LaurentPoly(Record):
+    """Laurent polynomial in t over the integers, canonical dense form.
+
+    The value is sum(_cs[i] * t^(_low + i)) with _cs a tuple of ints whose
+    first and last entries are nonzero, so equality is structural; zero is
+    (0, ()).  The public constructor takes a mapping or an iterable of
+    (exponent, coefficient) pairs of ints and sums repeated exponents;
+    reading .terms gives the nonzero pairs back in ascending order.
     """
 
-    terms: tuple[tuple[int, int], ...] = ()
+    terms: tuple[tuple[int, int], ...] = _Terms()
 
     def __post_init__(self):
-        raw = self.terms
-        if isinstance(raw, Mapping):
-            items: Iterable = raw.items()
-        else:
-            items = raw
+        raw = self.__dict__.pop("terms")
+        items = raw.items() if isinstance(raw, Mapping) else raw
         acc: dict[int, int] = {}
         for e, c in items:
             if not isinstance(e, int) or isinstance(e, bool):
@@ -518,26 +545,29 @@ class LaurentPoly(Record):
             if not isinstance(c, int) or isinstance(c, bool):
                 raise TypeError(f"Laurent coefficient must be an int, got {c!r}")
             acc[e] = acc.get(e, 0) + c
-        object.__setattr__(
-            self, "terms", tuple(sorted((e, c) for e, c in acc.items() if c != 0))
-        )
+        low = min(acc, default=0)
+        cs = [0] * (max(acc, default=-1) - low + 1)
+        for e, c in acc.items():
+            cs[e - low] = c
+        self.__dict__["_low"], self.__dict__["_cs"] = _strip(low, cs)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _canonical(cls, terms: tuple[tuple[int, int], ...]) -> "LaurentPoly":
-        # terms must already be ascending, zero-free and all-int
+    def _dense(cls, low: int, cs: Sequence[int]) -> "LaurentPoly":
+        # sum(cs[i] * t^(low + i)) for ints cs, zeros at either end allowed;
+        # the arithmetic builds its results here, past the checking constructor
         self = object.__new__(cls)
-        object.__setattr__(self, "terms", terms)
+        self.__dict__["_low"], self.__dict__["_cs"] = _strip(low, cs)
         return self
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls._canonical(())
+        return cls._dense(0, ())
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls._canonical(((0, 1),))
+        return cls._dense(0, (1,))
 
     @classmethod
     def t_power(cls, exponent: int, coefficient: int = 1) -> "LaurentPoly":
@@ -546,92 +576,129 @@ class LaurentPoly(Record):
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._cs
+
+    @property
+    def coefficients(self) -> tuple[int, ...]:
+        """The coefficients of t^min_exponent .. t^max_exponent, zeros
+        included; () for zero."""
+        return self._cs
 
     @property
     def min_exponent(self) -> int:
-        if not self.terms:
+        if not self._cs:
             raise ValueError("undefined for zero")
-        return self.terms[0][0]
+        return self._low
 
     @property
     def max_exponent(self) -> int:
-        if not self.terms:
+        if not self._cs:
             raise ValueError("undefined for zero")
-        return self.terms[-1][0]
+        return self._low + len(self._cs) - 1
 
     def span(self) -> int:
         """Width of the exponent support (max exponent minus min exponent)."""
         return self.max_exponent - self.min_exponent
 
     def coefficient(self, exponent: int) -> int:
-        for e, c in self.terms:
-            if e == exponent:
-                return c
-        return 0
+        i = exponent - self._low
+        return self._cs[i] if 0 <= i < len(self._cs) else 0
 
     def is_symmetric(self) -> bool:
         """True iff a(t) = a(1/t) coefficientwise."""
-        if not self.terms:
-            return True
-        # terms are sorted by exponent, so mirror the two sequences
-        es, cs = zip(*self.terms)
-        return cs == cs[::-1] and es == tuple(map(operator.neg, reversed(es)))
+        cs = self._cs
+        return not cs or (2 * self._low + len(cs) == 1 and cs == cs[::-1])
 
     # -- arithmetic --------------------------------------------------------
+
+    def _plus(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
+        # self + sign * other, over the union of the two exponent ranges
+        a, b = self._cs, other._cs
+        low = min(self._low, other._low)
+        out = [0] * (max(self._low + len(a), other._low + len(b)) - low)
+        i, j = self._low - low, other._low - low
+        out[i : i + len(a)] = a
+        out[j : j + len(b)] = [x + sign * y for x, y in zip(out[j : j + len(b)], b)]
+        return LaurentPoly._dense(low, out)
 
     def __add__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        acc = dict(self.terms)
-        for e, c in other.terms:
-            acc[e] = acc.get(e, 0) + c
-        return LaurentPoly._canonical(tuple(sorted((e, c) for e, c in acc.items() if c)))
+        return self._plus(other, 1)
 
     def __neg__(self):
-        return LaurentPoly._canonical(tuple((e, -c) for e, c in self.terms))
+        return LaurentPoly._dense(self._low, tuple([-c for c in self._cs]))
 
     def __sub__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __mul__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        a, b = self.terms, other.terms
+        a, b = self._cs, other._cs
+        low = self._low + other._low
         if len(a) != 1:
             a, b = b, a
         if len(a) == 1:
             # a monomial c*t^k shifts and scales the other factor
-            ((k, c),) = a
-            return LaurentPoly._canonical(tuple((e + k, c * d) for e, d in b))
-        acc: dict[int, int] = {}
-        for e1, c1 in a:
-            for e2, c2 in b:
-                e = e1 + e2
-                acc[e] = acc.get(e, 0) + c1 * c2
-        return LaurentPoly._canonical(tuple(sorted((e, c) for e, c in acc.items() if c)))
+            (c,) = a
+            return LaurentPoly._dense(low, b if c == 1 else tuple([c * d for d in b]))
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return LaurentPoly._dense(low, out)
 
     def substitute_square(self) -> "LaurentPoly":
         """The substitution t -> t^2 (every exponent doubled)."""
-        return LaurentPoly._canonical(tuple((2 * e, c) for e, c in self.terms))
+        doubled = [0] * (2 * len(self._cs) - 1)
+        doubled[::2] = self._cs
+        return LaurentPoly._dense(2 * self._low, doubled)
 
     def __call__(self, x) -> Fraction:
         """Exact evaluation at a nonzero rational point."""
         x = _to_fraction(x)
         if x == 0:
             raise ZeroDivisionError("Laurent polynomial evaluated at 0")
-        return sum((c * x**e for e, c in self.terms), Fraction(0))
+        acc = Fraction(0)
+        for c in reversed(self._cs):
+            acc = acc * x + c
+        return acc * x**self._low
+
+    # -- comparison / display ----------------------------------------------
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._low == other._low and self._cs == other._cs
+
+    def __hash__(self):
+        return hash((self._low, self._cs))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._cs)
 
     def __str__(self):
-        return _format_terms(reversed(self.terms), "t")
+        return _format_dense(self._low, self._cs, "t")
 
     def __repr__(self):
         return f"LaurentPoly[{self}]"
+
+
+def _strip(low: int, cs: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    # (low, cs) with the zeros at either end of cs dropped; zero is (0, ())
+    hi = len(cs)
+    while hi and not cs[hi - 1]:
+        hi -= 1
+    lo = 0
+    while lo < hi and not cs[lo]:
+        lo += 1
+    if not hi:
+        return 0, ()
+    return low + lo, tuple(cs[lo:hi] if lo or hi < len(cs) else cs)
 
 
 def format_decimal(x: Fraction, places: int = 6) -> str:

@@ -18,7 +18,9 @@ grows like 3n^5) prints as a Delta[...](t^2) factor and cannot be compared.
 from __future__ import annotations
 
 import math
+import operator
 from functools import cached_property
+from itertools import accumulate
 
 from .algebra import LaurentPoly, Poly, Scalar, as_scalar, scalar_str
 from .calculus import ManifoldRecord, MarkedSurface, UNKNOWN, _require_count, declared_false
@@ -62,16 +64,16 @@ class Knot(Record):
             raise ValueError("Alexander polynomial cannot be zero")
         if not a.is_symmetric():
             raise ValueError(f"Alexander polynomial must satisfy D(t) = D(1/t): {a}")
-        if sum(c for _, c in a.terms) not in (1, -1):
+        if sum(a.coefficients) not in (1, -1):
             raise ValueError(f"Alexander polynomial must have D(1) = +-1: {a}")
-        if self.fibered and abs(a.terms[-1][1]) != 1:
+        if self.fibered and abs(a.coefficients[-1]) != 1:
             raise ValueError(f"fibered knot needs a monic Alexander polynomial: {a}")
         return a
 
     @cached_property
     def monic(self) -> bool:
         """True iff the (symmetric) Alexander polynomial has top coefficient +-1."""
-        return abs(self.alexander.terms[-1][1]) == 1
+        return abs(self.alexander.coefficients[-1]) == 1
 
     def is_trivial(self) -> bool:
         return self.alexander == LaurentPoly.one()
@@ -79,18 +81,17 @@ class Knot(Record):
 
 def _divide_by_t_power_minus_1(coeffs: list[int], k: int) -> list[int]:
     # Exact dense division by (t^k - 1).  With D = Q*(t^k - 1) the
-    # coefficients satisfy d[j] = q[j-k] - q[j], so q[j-k] = d[j] + q[j]
-    # walking j downward; the k lowest coefficients must then cancel.
-    deg = len(coeffs) - 1
-    if deg < k:
+    # coefficients satisfy d[j] = q[j-k] - q[j], so on each residue class
+    # mod k, q is minus the running sum of d; the sum of the whole class
+    # must be 0.
+    if len(coeffs) <= k:
         raise ValueError("not divisible by t^k - 1")
-    quotient = [0] * (deg - k + 1)
-    for j in range(deg, k - 1, -1):
-        quotient[j - k] = coeffs[j] + (quotient[j] if j <= deg - k else 0)
-    if any(coeffs[j] + quotient[j] != 0 for j in range(min(k, len(quotient)))):
-        raise ValueError("not divisible by t^k - 1")
-    if any(coeffs[j] != 0 for j in range(len(quotient), k)):
-        raise ValueError("not divisible by t^k - 1")
+    quotient = [0] * (len(coeffs) - k)
+    for r in range(k):
+        sums = list(accumulate(coeffs[r::k], operator.sub, initial=0))
+        if sums[-1]:
+            raise ValueError("not divisible by t^k - 1")
+        quotient[r::k] = sums[1:-1]
     return quotient
 
 
@@ -98,17 +99,16 @@ def torus_knot_alexander(p: int, q: int) -> LaurentPoly:
     """Alexander polynomial of the (p, q) torus knot, symmetric form.
 
     Computed by exact division, (t^{pq} - 1)(t - 1) / ((t^p - 1)(t^q - 1)),
-    then recentered so that D(t) = D(1/t).
+    then recentered so that D(t) = D(1/t).  With p the smaller index, the
+    numerator is (t - 1) * sum(t^{iq} for i < p), and one division by
+    t^p - 1 is left.
     """
-    numerator = [0] * (p * q + 2)
-    numerator[p * q + 1] = 1
-    numerator[p * q] = -1
-    numerator[1] = -1
-    numerator[0] = 1
-    quotient = _divide_by_t_power_minus_1(numerator, p)
-    quotient = _divide_by_t_power_minus_1(quotient, q)
+    p, q = min(p, q), max(p, q)
+    numerator = [0] * ((p - 1) * q + 2)
+    numerator[::q] = [-1] * p
+    numerator[1::q] = [1] * p
     genus = (p - 1) * (q - 1) // 2
-    return LaurentPoly._canonical(tuple((e - genus, c) for e, c in enumerate(quotient) if c))
+    return LaurentPoly._dense(-genus, _divide_by_t_power_minus_1(numerator, p))
 
 
 def torus_knot(p: int, q: int) -> Knot:

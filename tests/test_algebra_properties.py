@@ -132,6 +132,79 @@ def test_monomial_product_shifts_and_scales(k, c, a):
     assert (a * monomial).terms == expected_terms
 
 
+# A few terms up to 2 * 10^4 apart: the dense form stores every coefficient
+# in between, so gaps and cancellation at either end get exercised.
+wide_terms = st.dictionaries(
+    st.integers(min_value=-10**4, max_value=10**4),
+    st.integers(min_value=-3, max_value=3),
+    max_size=4,
+)
+
+
+def _pairs(d: dict[int, int]) -> tuple[tuple[int, int], ...]:
+    return tuple(sorted((e, c) for e, c in d.items() if c))
+
+
+def _combine(a: dict, b: dict, sign: int) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return out
+
+
+def _sparse_str(d: dict[int, int]) -> str:
+    # the printed form, term by term from the model
+    parts = []
+    for e, c in reversed(_pairs(d)):
+        a = abs(c)
+        if e == 0:
+            term = str(a)
+        elif a == 1:
+            term = "t" if e == 1 else f"t^{e}"
+        else:
+            term = f"{a}*t" if e == 1 else f"{a}*t^{e}"
+        parts.append(("- " if c < 0 else "+ ") + term)
+    text = " ".join(parts)
+    return "0" if not text else text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_terms, wide_terms, st.integers(min_value=-10**4, max_value=10**4))
+def test_wide_laurent_matches_dict_model(a, b, e):
+    x, y = LaurentPoly(a), LaurentPoly(b)
+    product: dict[int, int] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            product[e1 + e2] = product.get(e1 + e2, 0) + c1 * c2
+    mirror = {-k: c for k, c in a.items()}
+    expected = [
+        (x + y, _combine(a, b, 1)),
+        (x - y, _combine(a, b, -1)),
+        (x * y, product),
+        (x.substitute_square(), {2 * k: c for k, c in a.items()}),
+        (-x, {k: -c for k, c in a.items()}),
+        (x + LaurentPoly(mirror), _combine(a, mirror, 1)),
+    ]
+    for value, model in expected:
+        assert value.terms == _pairs(model)
+        rebuilt = LaurentPoly(model)
+        assert rebuilt == value and hash(rebuilt) == hash(value)
+        assert LaurentPoly(value.terms) == value
+        assert str(value) == _sparse_str(model)
+    assert (x + y) - y == x and hash((x + y) - y) == hash(x)
+    assert x.coefficient(e) == a.get(e, 0)
+    support = [k for k, c in a.items() if c]
+    if support:
+        assert x.span() == max(support) - min(support)
+        assert x.coefficients[0] != 0 and x.coefficients[-1] != 0
+    else:
+        assert x.is_zero() and x.coefficients == ()
+        with pytest.raises(ValueError, match="undefined for zero"):
+            x.span()
+    assert x.is_symmetric() == (_pairs(a) == _pairs(mirror))
+    assert (x + LaurentPoly(mirror)).is_symmetric()
+
+
 def test_torus_knot_alexander_is_canonical():
     for q in range(3, 40):
         for p in range(2, q):

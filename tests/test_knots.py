@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -51,6 +52,26 @@ def test_torus_knot_alexander_against_cyclotomic_oracle():
         delta = torus_knot_alexander(p, q)
         lhs = delta * LaurentPoly({p + q + genus: 1, q + genus: -1, p + genus: -1, genus: 1})
         assert lhs == LaurentPoly({p * q + 1: 1, p * q: -1, 1: -1, 0: 1})
+
+
+def test_division_by_t_power_minus_1_is_exact_or_raises():
+    # (t^2 - 1)(t^3 + 2t - 5) = t^5 + t^3 - 5t^2 - 2t + 5
+    assert knots._divide_by_t_power_minus_1([5, -2, -5, 1, 0, 1], 2) == [-5, 2, 0, 1]
+    assert knots._divide_by_t_power_minus_1([0, 0, 0], 2) == [0]
+    with pytest.raises(ValueError, match="not divisible"):
+        knots._divide_by_t_power_minus_1([1, 0, 1], 2)  # t^2 + 1
+    with pytest.raises(ValueError, match="not divisible"):
+        knots._divide_by_t_power_minus_1([-1, 1, 1], 2)  # t^2 + t - 1: remainder t
+    for short in ([], [-1], [-1, 1]):
+        with pytest.raises(ValueError, match="not divisible"):
+            knots._divide_by_t_power_minus_1(short, 2)
+
+
+def test_torus_knot_alexander_is_symmetric_in_its_indices():
+    for p in range(2, 31):
+        for q in range(p + 1, 31):
+            if math.gcd(p, q) == 1:
+                assert torus_knot_alexander(p, q) == torus_knot_alexander(q, p), (p, q)
 
 
 def test_alexander_invariants_catalog():

@@ -222,6 +222,20 @@ def test_exotic_family_large_count():
     assert report.family.pairwise_distinct
 
 
+def test_exotic_family_ledgers_match_closed_forms():
+    # Delta(t^2) on a base ledger of 1: T(2, 2k+1) has Delta = sum of
+    # (-1)^(k-i) t^i over |i| <= k, twist(m) has m*t - (2m+1) + m/t.
+    count = 300
+    entries = exotic_family(3, count).family.entries
+    assert len(entries) == 2 * count
+    for k, entry in enumerate(entries[:count], 1):
+        assert entry.knot == f"torus(2,{2 * k + 1})"
+        assert entry.sw.terms == tuple((2 * i, (-1) ** (k - i)) for i in range(-k, k + 1))
+    for m, entry in enumerate(entries[count:], 2):
+        assert entry.knot == f"twist({m})"
+        assert entry.sw.terms == ((-2, m), (0, -(2 * m + 1)), (2, m))
+
+
 def test_exotic_family_validation():
     with pytest.raises(ValueError):
         exotic_family(3, 0)
