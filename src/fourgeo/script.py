@@ -1,4 +1,4 @@
-"""Construction-script language (.geo files): parser and evaluator.
+"""Construction-script language (.geo files): compiler and evaluator.
 
 A script is a sequence of let-bindings, one per line, with exactly one
 `report` statement naming the value the run is about:
@@ -24,6 +24,16 @@ divisions (3/2).  Identifiers refer to earlier bindings or to the built-in
 blocks T4, E2 and CP2BAR.  The callable operations are blowup,
 branched_cover, resolve, fiber_sum, knot_surgery, riemann_hurwitz, plus the
 surface constructor surface(genus=..., self_int=...) and surface_blowup.
+
+parse compiles each statement's expression to a flat postfix program of
+(op, arg, line, col) instructions with one operator-precedence loop, which
+keeps pending operators and open parentheses and calls on explicit stacks;
+evaluate runs each program in one loop over a value stack.  Neither
+recurses, so nesting depth is unlimited.  A call's arguments are compiled
+in parameter order, each followed by a check of its kind; a call whose
+arguments do not fit its operation compiles to one instruction that fails
+when reached, so that is an evaluation error, like every error that
+depends on values.
 
 Values are exact scalars, manifold records or marked surfaces; evaluation is
 deterministic and delegates to the calculus operations, so a script computes
@@ -64,7 +74,14 @@ class ScriptError(Exception):
 
 
 # --------------------------------------------------------------------------
-# AST
+# Statements
+
+# A postfix instruction (op, arg, line, col).  op is "num" (arg: the int),
+# "n", "name" (arg: the identifier), "neg", a binary operator + - * / ^,
+# "check" (arg: (operation, parameter, kind) the value on top must fit),
+# "call" (arg: the operation) or "fail" (arg: the message it raises).
+_Instr = tuple[str, object, int, int]
+
 
 class Node(Record):
     _metadata = ("line", "col")  # keyword-only, outside equality and hashing
@@ -73,41 +90,13 @@ class Node(Record):
     col: int = 0
 
 
-class Num(Node):
-    value: int
-
-
-class Var(Node):
-    """The construction parameter n."""
-
-
-class Name(Node):
-    ident: str
-
-
-class BinOp(Node):
-    op: str  # one of + - * / ^
-    left: Node
-    right: Node
-
-
-class Neg(Node):
-    operand: Node
-
-
-class Call(Node):
-    fn: str
-    args: tuple[Node, ...]
-    named: tuple[tuple[str, Node], ...]
-
-
 class Let(Node):
     name: str
-    expr: Node
+    program: tuple[_Instr, ...]
 
 
 class Report(Node):
-    expr: Node
+    program: tuple[_Instr, ...]
 
 
 class Script(Record):
@@ -159,162 +148,185 @@ def _expected(what: str, tok: _Tok) -> ScriptError:
 
 
 # --------------------------------------------------------------------------
-# Parser
+# Compiler
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    @property
-    def current(self) -> _Tok:
-        return self.tokens[self.pos]
-
-    @property
-    def kind(self) -> str:
-        return self.tokens[self.pos][0]
-
-    def advance(self) -> _Tok:
-        tok = self.tokens[self.pos]
-        if tok[0] != "EOF":
-            self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> _Tok:
-        if self.kind != kind:
-            raise _expected(what, self.current)
-        return self.advance()
-
-    def skip_newlines(self):
-        while self.kind == "NEWLINE":
-            self.advance()
-
-    def parse(self) -> Script:
-        statements: list[Node] = []
-        bound: set[str] = set()
-        report_seen = False
-        self.skip_newlines()
-        while self.kind != "EOF":
-            kind, word, line, col = self.current
-            if kind == "IDENT" and word == "let":
-                self.advance()
-                _, name, name_line, name_col = self.expect("IDENT", "a name to bind")
-                if name in bound or name in _BLOCKS or name == "n":
-                    raise ScriptError(name_line, name_col, f"name {name!r} is already bound")
-                self.expect("=", "'='")
-                statements.append(Let(name, self.expression(), line=line, col=col))
-                bound.add(name)
-            elif kind == "IDENT" and word == "report":
-                if report_seen:
-                    raise ScriptError(line, col, "only one 'report' statement is allowed")
-                report_seen = True
-                self.advance()
-                statements.append(Report(self.expression(), line=line, col=col))
-            else:
-                raise _expected("'let' or 'report'", self.current)
-            if self.kind == "EOF":
-                break
-            self.expect("NEWLINE", "end of statement")
-            self.skip_newlines()
-        if not report_seen:
-            _, _, line, col = self.current
-            raise ScriptError(line, col, "script needs exactly one 'report' statement")
-        return Script(tuple(statements))
-
-    # expression parsing, lowest precedence first
-
-    def expression(self) -> Node:
-        return self.sum()
-
-    def sum(self) -> Node:
-        left = self.product()
-        while self.kind in ("+", "-"):
-            op, _, line, col = self.advance()
-            left = BinOp(op, left, self.product(), line=line, col=col)
-        return left
-
-    def product(self) -> Node:
-        left = self.unary()
-        while self.kind in ("*", "/"):
-            op, _, line, col = self.advance()
-            left = BinOp(op, left, self.unary(), line=line, col=col)
-        return left
-
-    def unary(self) -> Node:
-        if self.kind == "-":
-            _, _, line, col = self.advance()
-            return Neg(self.unary(), line=line, col=col)
-        return self.power()
-
-    def power(self) -> Node:
-        base = self.atom()
-        if self.kind == "^":
-            _, _, line, col = self.advance()
-            return BinOp("^", base, self.unary(), line=line, col=col)
-        return base
-
-    def atom(self) -> Node:
-        tok = self.current
-        kind, word, line, col = tok
-        if kind == "INT":
-            self.advance()
-            return Num(int(word), line=line, col=col)
-        if kind == "IDENT":
-            self.advance()
-            if word == "n":
-                return Var(line=line, col=col)
-            if self.kind == "(":
-                _, _, open_line, open_col = self.advance()
-                args: list[Node] = []
-                named: list[tuple[str, Node]] = []
-                if self.kind != ")":
-                    while True:
-                        if self.kind == "EOF" or self.kind == "NEWLINE":
-                            raise ScriptError(open_line, open_col, "unclosed '(' in call")
-                        if self.kind == "IDENT" and self.tokens[self.pos + 1][0] == "=":
-                            _, key, key_line, key_col = self.advance()
-                            self.advance()  # '='
-                            value = self.expression()
-                            if any(k == key for k, _ in named):
-                                raise ScriptError(key_line, key_col, f"duplicate argument {key!r}")
-                            named.append((key, value))
-                        else:
-                            if named:
-                                _, _, bad_line, bad_col = self.current
-                                raise ScriptError(
-                                    bad_line, bad_col, "positional argument after named arguments"
-                                )
-                            args.append(self.expression())
-                        if self.kind == ",":
-                            self.advance()
-                            continue
-                        break
-                if self.kind != ")":
-                    raise ScriptError(open_line, open_col, "unclosed '(' in call")
-                self.advance()
-                return Call(word, tuple(args), tuple(named), line=line, col=col)
-            return Name(word, line=line, col=col)
-        if kind == "(":
-            self.advance()
-            inner = self.expression()
-            if self.kind != ")":
-                raise ScriptError(line, col, "unclosed '('")
-            self.advance()
-            return inner
-        raise _expected("a value", tok)
+# Binding strength; "neg" is the prefix minus.  "^" binds tightest and is
+# right-associative, so it pops no pending operator; the others pop every
+# pending operator that binds at least as tightly.
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
 
 def parse(text: str) -> Script:
-    """Parse script text into an AST; raises ScriptError with location.
+    """Compile script text to statements holding postfix programs; raises
+    ScriptError with location."""
+    tokens = _tokenize(text)
+    statements: list[Node] = []
+    bound: set[str] = set()
+    report_seen = False
+    pos = 0
+    while tokens[pos][0] != "EOF":
+        kind, word, line, col = tokens[pos]
+        if kind == "IDENT" and word == "let":
+            name_kind, name, name_line, name_col = tokens[pos + 1]
+            if name_kind != "IDENT":
+                raise _expected("a name to bind", tokens[pos + 1])
+            if name in bound or name in _BLOCKS or name == "n":
+                raise ScriptError(name_line, name_col, f"name {name!r} is already bound")
+            if tokens[pos + 2][0] != "=":
+                raise _expected("'='", tokens[pos + 2])
+            program, pos = _compile(tokens, pos + 3)
+            statements.append(Let(name, program, line=line, col=col))
+            bound.add(name)
+        elif kind == "IDENT" and word == "report":
+            if report_seen:
+                raise ScriptError(line, col, "only one 'report' statement is allowed")
+            report_seen = True
+            program, pos = _compile(tokens, pos + 1)
+            statements.append(Report(program, line=line, col=col))
+        else:
+            raise _expected("'let' or 'report'", tokens[pos])
+        if tokens[pos][0] == "NEWLINE":
+            pos += 1
+        elif tokens[pos][0] != "EOF":
+            raise _expected("end of statement", tokens[pos])
+    if not report_seen:
+        _, _, line, col = tokens[pos]
+        raise ScriptError(line, col, "script needs exactly one 'report' statement")
+    return Script(tuple(statements))
 
-    The parser recurses once per level of nesting, so nesting deeper than
-    the interpreter's stack allows is an error at the token reached."""
-    parser = _Parser(text)
-    try:
-        return parser.parse()
-    except RecursionError:
-        _, _, line, col = parser.current
-        raise ScriptError(line, col, "expression nested too deeply") from None
+
+def _compile(tokens: list[_Tok], pos: int) -> tuple[tuple[_Instr, ...], int]:
+    """Compile the expression that starts at tokens[pos]; returns its
+    postfix program and the position of the first token after it.
+
+    `out` is the code of the innermost open group and `ops` its pending
+    operators.  An open "(" or call pushes a frame (the enclosing out and
+    ops, the "(" token, and for a call its name token and arguments) and
+    starts fresh pending operators.  Each call argument is compiled into
+    its own code list, so the call can put them in parameter order."""
+    out: list[_Instr] = []
+    ops: list[_Instr] = []
+    frames: list[tuple] = []
+    want_operand = True
+    while True:
+        tok = tokens[pos]
+        kind, word, line, col = tok
+        if want_operand:
+            pos += 1
+            if kind == "-":
+                ops.append(("neg", None, line, col))
+                continue
+            if kind == "(":
+                frames.append((out, ops, tok, None, None))
+                ops = []
+                continue
+            want_operand = False
+            if kind == "INT":
+                out.append(("num", int(word), line, col))
+            elif kind == "IDENT" and word == "n":
+                out.append(("n", None, line, col))
+            elif kind == "IDENT" and tokens[pos][0] == "(":
+                if tokens[pos + 1][0] == ")":
+                    out += _call_program(tok, [])
+                    pos += 2
+                    continue
+                args: list[tuple[_Tok | None, list[_Instr]]] = []  # (name token, code)
+                frames.append((out, ops, tokens[pos], tok, args))
+                pos = _start_argument(tokens, pos + 1, tokens[pos], args)
+                out, ops = args[-1][1], []
+                want_operand = True
+            elif kind == "IDENT":
+                out.append(("name", word, line, col))
+            else:
+                raise _expected("a value", tok)
+            continue
+        # an operand is complete: a binary operator continues the expression
+        if kind in _PRECEDENCE:
+            if kind != "^":
+                rank = _PRECEDENCE[kind]
+                while ops and _PRECEDENCE[ops[-1][0]] >= rank:
+                    out.append(ops.pop())
+            ops.append((kind, None, line, col))
+            pos += 1
+            want_operand = True
+            continue
+        # anything else ends the innermost group's expression
+        out.extend(reversed(ops))
+        if not frames:
+            return tuple(out), pos
+        outer_out, outer_ops, open_tok, fn_tok, args = frames[-1]
+        if fn_tok is None:
+            if kind != ")":
+                raise ScriptError(open_tok[2], open_tok[3], "unclosed '('")
+            frames.pop()
+            ops = outer_ops
+            pos += 1
+            continue
+        key = args[-1][0]
+        if key and any(other and other[1] == key[1] for other, _ in args[:-1]):
+            raise ScriptError(key[2], key[3], f"duplicate argument {key[1]!r}")
+        if kind == ",":
+            pos = _start_argument(tokens, pos + 1, open_tok, args)
+            out, ops = args[-1][1], []
+            want_operand = True
+            continue
+        if kind != ")":
+            raise ScriptError(open_tok[2], open_tok[3], "unclosed '(' in call")
+        frames.pop()
+        out, ops = outer_out, outer_ops
+        out += _call_program(fn_tok, args)
+        pos += 1
+
+
+def _start_argument(tokens: list[_Tok], pos: int, open_tok: _Tok, args: list) -> int:
+    """Start the call argument at tokens[pos]: append its `name =` token
+    (None if it is positional) and an empty code list to args; returns the
+    position of its expression."""
+    kind, _, line, col = tokens[pos]
+    if kind == "EOF" or kind == "NEWLINE":
+        raise ScriptError(open_tok[2], open_tok[3], "unclosed '(' in call")
+    if kind == "IDENT" and tokens[pos + 1][0] == "=":
+        args.append((tokens[pos], []))
+        return pos + 2
+    if any(key for key, _ in args):
+        raise ScriptError(line, col, "positional argument after named arguments")
+    args.append((None, []))
+    return pos
+
+
+def _call_program(fn_tok: _Tok, args: list) -> list[_Instr]:
+    """The code of a call: each argument's code in parameter order, followed
+    by a check of its kind at the argument's last instruction, then the
+    call.  Arguments that do not fit the operation give one "fail"."""
+    _, fn, line, col = fn_tok
+
+    def fail(message: str) -> list[_Instr]:
+        return [("fail", message, line, col)]
+
+    if fn not in _OPERATIONS:
+        return fail(f"unknown operation {fn!r}")
+    params, _ = _OPERATIONS[fn]
+    positional = [code for key, code in args if key is None]
+    if len(positional) > len(params):
+        return fail(f"{fn} takes {len(params)} arguments, got {len(args)}")
+    slots = {pname: code for (pname, _), code in zip(params, positional)}
+    valid = {pname for pname, _ in params}
+    for (_, name, _, _), code in args[len(positional):]:
+        if name not in valid:
+            return fail(f"{fn} has no argument named {name!r} (expected: {', '.join(sorted(valid))})")
+        if name in slots:
+            return fail(f"argument {name!r} given twice")
+        slots[name] = code
+    missing = [pname for pname, _ in params if pname not in slots]
+    if missing:
+        return fail(f"{fn} is missing argument(s): {', '.join(missing)}")
+    program = []
+    for pname, kind in params:
+        code = slots[pname]
+        program += code
+        program.append(("check", (fn, pname, kind), code[-1][2], code[-1][3]))
+    program.append(("call", fn, line, col))
+    return program
 
 
 # --------------------------------------------------------------------------
@@ -399,123 +411,87 @@ def _kind_of(value) -> str:
     return "scalar"
 
 
-class _Evaluator:
-    def __init__(self, n: int | None):
-        self.param: Scalar = parameter(n)
-        self.env: dict[str, object] = {}
-        self.node: Node | None = None  # the innermost node entered
+def _binary(op: str, left, right):
+    # a sum, difference or product of Fractions can be integral
+    if op == "+":
+        return as_scalar(left + right)
+    if op == "-":
+        return as_scalar(left - right)
+    if op == "*":
+        return as_scalar(left * right)
+    if op == "/":
+        return divide_exact(left, right)
+    exponent = as_scalar(right)
+    if isinstance(exponent, Poly) and exponent.degree <= 0:
+        exponent = as_scalar(exponent.constant_value())
+    if isinstance(exponent, Poly) or exponent.denominator != 1 or exponent < 0:
+        raise ValueError("exponent must be a nonnegative integer")
+    return as_scalar(left) ** int(exponent)
 
-    def run(self, script: Script):
-        result = None
-        for stmt in script.statements:
-            if isinstance(stmt, Let):
-                self.env[stmt.name] = self._eval(stmt.expr)
+
+def _run(program: tuple[_Instr, ...], env: dict, param: Scalar):
+    stack: list = []
+    for op, arg, line, col in program:
+        if op == "num":
+            stack.append(arg)
+        elif op == "n":
+            stack.append(param)
+        elif op == "name":
+            if arg in env:
+                stack.append(env[arg])
+            elif arg in _BLOCKS:
+                stack.append(_BLOCKS[arg]())
             else:
-                result = self._eval(stmt.expr)
-        return result
-
-    def _eval(self, node: Node):
-        self.node = node
-        if isinstance(node, Num):
-            return node.value
-        if isinstance(node, Var):
-            return self.param
-        if isinstance(node, Name):
-            if node.ident in self.env:
-                return self.env[node.ident]
-            if node.ident in _BLOCKS:
-                return _BLOCKS[node.ident]()
-            raise ScriptError(node.line, node.col, f"unknown identifier {node.ident!r}")
-        if isinstance(node, Neg):
-            value = self._eval(node.operand)
-            if _kind_of(value) != "scalar":
-                raise ScriptError(node.line, node.col, "negation applies to scalars only")
-            return -value
-        if isinstance(node, BinOp):
-            return self._eval_binop(node)
-        if isinstance(node, Call):
-            return self._eval_call(node)
-        raise ScriptError(node.line, node.col, f"cannot evaluate {node!r}")
-
-    def _eval_binop(self, node: BinOp):
-        left = self._eval(node.left)
-        right = self._eval(node.right)
-        if _kind_of(left) != "scalar" or _kind_of(right) != "scalar":
-            raise ScriptError(node.line, node.col, f"'{node.op}' applies to scalars only")
-        try:
-            # a sum, difference or product of Fractions can be integral
-            if node.op == "+":
-                return as_scalar(left + right)
-            if node.op == "-":
-                return as_scalar(left - right)
-            if node.op == "*":
-                return as_scalar(left * right)
-            if node.op == "/":
-                return divide_exact(left, right)
-            exponent = as_scalar(right)
-            if isinstance(exponent, Poly) or exponent.denominator != 1 or exponent < 0:
-                raise ValueError("exponent must be a nonnegative integer")
-            return as_scalar(left) ** int(exponent)
-        except (ValueError, ZeroDivisionError) as err:
-            raise ScriptError(node.line, node.col, str(err)) from err
-
-    def _eval_call(self, node: Call):
-        if node.fn not in _OPERATIONS:
-            raise ScriptError(node.line, node.col, f"unknown operation {node.fn!r}")
-        params, operation = _OPERATIONS[node.fn]
-        if len(node.args) > len(params):
-            raise ScriptError(
-                node.line, node.col,
-                f"{node.fn} takes {len(params)} arguments, got {len(node.args) + len(node.named)}",
-            )
-        slots: dict[str, Node] = {}
-        for (pname, _), arg in zip(params, node.args):
-            slots[pname] = arg
-        valid = {pname for pname, _ in params}
-        for key, value in node.named:
-            if key not in valid:
-                raise ScriptError(
-                    node.line, node.col,
-                    f"{node.fn} has no argument named {key!r} "
-                    f"(expected: {', '.join(sorted(valid))})",
-                )
-            if key in slots:
-                raise ScriptError(node.line, node.col, f"argument {key!r} given twice")
-            slots[key] = value
-        missing = [pname for pname, _ in params if pname not in slots]
-        if missing:
-            raise ScriptError(
-                node.line, node.col, f"{node.fn} is missing argument(s): {', '.join(missing)}"
-            )
-        values = {}
-        for pname, kind in params:
-            value = self._eval(slots[pname])
-            got = _kind_of(value)
+                raise ScriptError(line, col, f"unknown identifier {arg!r}")
+        elif op == "check":
+            fn, pname, kind = arg
+            got = _kind_of(stack[-1])
             if got != kind:
                 raise ScriptError(
-                    slots[pname].line or node.line,
-                    slots[pname].col or node.col,
-                    f"{node.fn} argument {pname!r} must be {_KIND_NAMES[kind]}, "
-                    f"got {_KIND_NAMES[got]}",
+                    line, col,
+                    f"{fn} argument {pname!r} must be {_KIND_NAMES[kind]}, got {_KIND_NAMES[got]}",
                 )
-            values[pname] = value
-        try:
-            return operation(**values)
-        except (ValueError, KeyError) as err:
-            message = err.args[0] if err.args else str(err)
-            raise ScriptError(node.line, node.col, str(message)) from err
+        elif op == "call":
+            params, operation = _OPERATIONS[arg]
+            base = len(stack) - len(params)
+            values = stack[base:]
+            del stack[base:]
+            try:
+                stack.append(operation(*values))
+            except (ValueError, KeyError) as err:
+                message = err.args[0] if err.args else str(err)
+                raise ScriptError(line, col, str(message)) from err
+        elif op == "neg":
+            if _kind_of(stack[-1]) != "scalar":
+                raise ScriptError(line, col, "negation applies to scalars only")
+            stack[-1] = -stack[-1]
+        elif op == "fail":
+            raise ScriptError(line, col, arg)
+        else:
+            right = stack.pop()
+            left = stack[-1]
+            if _kind_of(left) != "scalar" or _kind_of(right) != "scalar":
+                raise ScriptError(line, col, f"'{op}' applies to scalars only")
+            try:
+                stack[-1] = _binary(op, left, right)
+            except (ValueError, ZeroDivisionError) as err:
+                raise ScriptError(line, col, str(err)) from err
+    return stack.pop()
 
 
 def evaluate(script: Script, n: int | None = None):
-    """Run a parsed script; returns the reported value (a scalar, marked
-    surface or manifold record).  n = None means symbolic mode; any other n
-    must be an integer >= 2 (ValueError otherwise, before any statement
-    runs).  Evaluation recurses once per level of the AST, so a tree deeper
-    than the interpreter's stack allows is an error at the innermost node
-    reached."""
-    evaluator = _Evaluator(n)
-    try:
-        return evaluator.run(script)
-    except RecursionError:
-        node = evaluator.node
-        raise ScriptError(node.line, node.col, "expression nested too deeply") from None
+    """Run a parsed script, one statement's program after another, each on
+    a value stack; returns the reported value (a scalar, marked surface or
+    manifold record).  n = None means symbolic mode; any other n must be an
+    integer >= 2 (ValueError otherwise, before any statement runs).
+    Nothing recurses, so no nesting depth is too deep."""
+    param = parameter(n)
+    env: dict[str, object] = {}
+    result = None
+    for stmt in script.statements:
+        value = _run(stmt.program, env, param)
+        if isinstance(stmt, Let):
+            env[stmt.name] = value
+        else:
+            result = value
+    return result

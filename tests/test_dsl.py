@@ -6,27 +6,42 @@ import pytest
 from fourgeo.algebra import N
 from fourgeo.calculus import ManifoldRecord, MarkedSurface
 from fourgeo.pipeline import build_family, family_targets
-from fourgeo.script import (
-    BinOp,
-    Call,
-    Num,
-    ScriptError,
-    Var,
-    _tokenize,
-    evaluate,
-    parse,
-)
+from fourgeo.script import Let, ScriptError, _tokenize, evaluate, parse
 
 KN_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "kn.geo"
 
 
 def test_parse_single_let():
-    ast = parse("let Y = blowup(T4, k=n^4)\nreport Y\n")
-    assert len(ast.bindings) == 1
-    let = ast.bindings[0]
-    assert let.name == "Y"
-    assert isinstance(let.expr, Call) and let.expr.fn == "blowup"
-    assert let.expr.named == (("k", BinOp("^", Var(), Num(4))),)
+    script = parse("let Y = blowup(T4, k=n^4)\nreport Y\n")
+    assert len(script.bindings) == 1
+    let = script.bindings[0]
+    assert let.name == "Y" and (let.line, let.col) == (1, 1)
+    # postfix: each argument in parameter order, checked at its last
+    # instruction, then the call at the operation's name
+    assert let.program == (
+        ("name", "T4", 1, 16), ("check", ("blowup", "m", "manifold"), 1, 16),
+        ("n", None, 1, 22), ("num", 4, 1, 24), ("^", None, 1, 23),
+        ("check", ("blowup", "k", "scalar"), 1, 23),
+        ("call", "blowup", 1, 9),
+    )
+    assert script.report.program == (("name", "Y", 2, 8),)
+
+
+def test_named_arguments_compile_in_parameter_order():
+    swapped = parse("report blowup(k=1, m=T4)\n").report.program
+    assert [op for op, *_ in swapped] == ["name", "check", "num", "check", "call"]
+    assert swapped[0] == ("name", "T4", 1, 22) and swapped[2] == ("num", 1, 1, 17)
+
+
+def test_call_table_error_compiles_to_one_fail():
+    # parse accepts the call; its arguments are not compiled and never run
+    assert parse("report nope(Missing, 1 + 2)\n").report.program == (
+        ("fail", "unknown operation 'nope'", 1, 8),
+    )
+    for text in ("report blowup(T4)\n", "report blowup(T4, 1, 2)\n",
+                 "report blowup(T4, x=1)\n", "report blowup(T4, 1, m=T4)\n"):
+        (op, _, line, col), = parse(text).report.program
+        assert (op, line, col) == ("fail", 1, 8)
 
 
 def test_parse_error_unbalanced_paren():
@@ -79,10 +94,11 @@ def test_parse_rejects_rebinding():
 
 
 def test_kn_script_shape():
-    ast = parse(KN_SCRIPT.read_text())
-    assert len(ast.bindings) == 6
-    assert isinstance(ast.report.expr, Call)
-    assert ast.report.expr.fn == "fiber_sum"
+    script = parse(KN_SCRIPT.read_text())
+    assert [let.name for let in script.bindings] == ["Y", "X", "Freg", "F", "NN", "FP"]
+    assert all(isinstance(s, Let) for s in script.statements[:6])
+    assert script.report.program[-1] == ("call", "fiber_sum", 15, 8)
+    assert [arg for op, arg, _, _ in script.report.program if op == "name"] == ["X", "F", "NN", "FP"]
 
 
 def test_kn_script_numeric_matches_pipeline():
@@ -197,22 +213,26 @@ def test_surface_data_must_be_integral_in_scripts():
             assert (err.value.line, err.value.col) == (1, 8)
 
 
-def test_deep_nesting_is_a_located_error():
-    assert evaluate(parse("report " + "(" * 150 + "1" + ")" * 150)) == 1
-    for text in ("report " + "(" * 200 + "1" + ")" * 200, "report " + "-" * 1000 + "1"):
-        with pytest.raises(ScriptError, match="expression nested too deeply") as err:
-            parse(text)
-        assert err.value.line == 1 and 8 < err.value.col < len(text)
-    # a long sum parses without recursion, but its tree is too deep to evaluate
-    ast = parse("let X = 1\nreport " + " + ".join(["n"] * 2000))
-    with pytest.raises(ScriptError, match="expression nested too deeply") as err:
-        evaluate(ast)
-    assert err.value.line == 2
+def test_deep_nesting_evaluates():
+    # nothing recurses, so nesting depth is unlimited
+    assert evaluate(parse("report " + "(" * 5000 + "1" + ")" * 5000)) == 1
+    assert evaluate(parse("report " + "-" * 1001 + "1")) == -1
+    assert evaluate(parse("report " + " + ".join(["n"] * 5000))) == 5000 * N
+    nested = "report " + "blowup(" * 300 + "T4" + ", k=1)" * 300
+    assert evaluate(parse(nested)).e == 300
 
 
 def test_exponent_must_be_integer():
     with pytest.raises(ScriptError, match="exponent"):
         evaluate(parse("report 2^n\n"))
+
+
+def test_constant_exponent_is_accepted_in_both_modes():
+    for n in (None, 2, 3, 7):
+        assert evaluate(parse("report 2^(n-n+3)\n"), n) == 8
+    assert evaluate(parse("report n^(n-n+2)\n")) == N**2
+    assert evaluate(parse("report n^(n-n+2)\n"), 3) == 9
+    assert evaluate(parse("report n^(n-n)\n")) == 1
 
 
 def test_division_is_exact():
@@ -236,6 +256,20 @@ def test_precedence_and_associativity_evaluate_exactly():
     )
 
 
+def test_precedence_compiles_to_postfix():
+    def ops(text):
+        return [op if op not in ("num", "name") else arg
+                for op, arg, _, _ in parse(f"report {text}\n").report.program]
+
+    assert ops("-n^2") == ["n", 2, "^", "neg"]
+    assert ops("2^3^2") == [2, 3, 2, "^", "^"]
+    assert ops("2^-1*3") == [2, 1, "neg", "^", 3, "*"]
+    assert ops("1 - 2 - 3") == [1, 2, "-", 3, "-"]
+    assert ops("1 + 2*3/4") == [1, 2, 3, "*", 4, "/", "+"]
+    assert ops("-(1 + 2)*-3") == [1, 2, "+", "neg", 3, "neg", "*"]
+    assert evaluate(parse("report 2^3^2\n")) == 512
+
+
 def test_numeric_and_symbolic_agree_through_script():
     ast = parse(KN_SCRIPT.read_text())
     symbolic = evaluate(ast)
@@ -249,3 +283,105 @@ def test_comment_only_lines_and_blank_lines():
     text = "# header\n\n# another\nreport T4\n"
     value = evaluate(parse(text))
     assert value.e == 0
+
+
+def _outcome(text: str, n=None) -> tuple:
+    """("parse" or "eval", line, col, message) of the ScriptError a script
+    raises, or ("value", str(value)) when it runs."""
+    try:
+        script = parse(text)
+    except ScriptError as err:
+        return ("parse", err.line, err.col, err.message)
+    try:
+        value = evaluate(script, n)
+    except ScriptError as err:
+        return ("eval", err.line, err.col, err.message)
+    return ("value", str(value))
+
+
+# Every message script.py raises, with the stage that raises it and its
+# location; evaluation runs symbolically.
+SCRIPT_ERRORS = [
+    ("report $\n", "parse", 1, 8, "unexpected character '$'"),
+    ("report 2²\n", "parse", 1, 9, "unexpected character '²'"),
+    ("let 1 = 2\nreport 1\n", "parse", 1, 5, "expected a name to bind, found '1'"),
+    ("let = 1\nreport 1\n", "parse", 1, 5, "expected a name to bind, found '='"),
+    ("let A = 1\nlet A = 2\nreport A\n", "parse", 2, 5, "name 'A' is already bound"),
+    ("let n = 1\nreport 1\n", "parse", 1, 5, "name 'n' is already bound"),
+    ("let E2 = 1\nreport 1\n", "parse", 1, 5, "name 'E2' is already bound"),
+    ("let A 1\nreport A\n", "parse", 1, 7, "expected '=', found '1'"),
+    ("report 1\nreport 2\n", "parse", 2, 1, "only one 'report' statement is allowed"),
+    ("foo\n", "parse", 1, 1, "expected 'let' or 'report', found 'foo'"),
+    ("report 1 2\n", "parse", 1, 10, "expected end of statement, found '2'"),
+    ("report n(1)\n", "parse", 1, 9, "expected end of statement, found '('"),
+    ("report 1 ==\n", "parse", 1, 10, "expected end of statement, found '='"),
+    ("let A = 1\n", "parse", 2, 1, "script needs exactly one 'report' statement"),
+    ("", "parse", 1, 1, "script needs exactly one 'report' statement"),
+    ("report f(1 2)\n", "parse", 1, 9, "unclosed '(' in call"),
+    ("report nope(1 2)\n", "parse", 1, 12, "unclosed '(' in call"),
+    ("report f(1,\n", "parse", 1, 9, "unclosed '(' in call"),
+    ("report f(\n", "parse", 1, 9, "unclosed '(' in call"),
+    ("report blowup(T4,\nk=1)\n", "parse", 1, 14, "unclosed '(' in call"),
+    ("report (1 2)\n", "parse", 1, 8, "unclosed '('"),
+    ("report (1\n", "parse", 1, 8, "unclosed '('"),
+    ("report blowup(T4, k=1, k=2)\n", "parse", 1, 24, "duplicate argument 'k'"),
+    ("report blowup(k=1, T4)\n", "parse", 1, 20, "positional argument after named arguments"),
+    ("report blowup(T4, k=1,)\n", "parse", 1, 23, "positional argument after named arguments"),
+    ("report 1 +\n", "parse", 1, 11, "expected a value, found 'NEWLINE'"),
+    ("report (\n", "parse", 1, 9, "expected a value, found 'NEWLINE'"),
+    ("report )\n", "parse", 1, 8, "expected a value, found ')'"),
+    ("report blowup(T4, k=)\n", "parse", 1, 21, "expected a value, found ')'"),
+    ("report nope(1 +)\n", "parse", 1, 16, "expected a value, found ')'"),
+    ("report Missing\n", "eval", 1, 8, "unknown identifier 'Missing'"),
+    ("report 1\nlet A = B\nlet B = 1\n", "eval", 2, 9, "unknown identifier 'B'"),
+    ("report -T4\n", "eval", 1, 8, "negation applies to scalars only"),
+    ("report T4 + 1\n", "eval", 1, 11, "'+' applies to scalars only"),
+    ("report 1 - T4\n", "eval", 1, 10, "'-' applies to scalars only"),
+    ("report T4 * 2\n", "eval", 1, 11, "'*' applies to scalars only"),
+    ("report 2 / T4\n", "eval", 1, 10, "'/' applies to scalars only"),
+    ("report T4 ^ 2\n", "eval", 1, 11, "'^' applies to scalars only"),
+    ("report 2^n\n", "eval", 1, 9, "exponent must be a nonnegative integer"),
+    ("report 2^-1*3\n", "eval", 1, 9, "exponent must be a nonnegative integer"),
+    ("report 2^(1/2)\n", "eval", 1, 9, "exponent must be a nonnegative integer"),
+    ("report (n^2 + 1)/n\n", "eval", 1, 17, "(n^2 + 1) is not exactly divisible by (n)"),
+    ("report 1/0\n", "eval", 1, 9, "division by zero"),
+    ("report 3/(n-n)\n", "eval", 1, 9, "polynomial division by zero"),
+    ("report logarithmic_transform(T4)\n", "eval", 1, 8,
+     "unknown operation 'logarithmic_transform'"),
+    ("report nope(Missing)\n", "eval", 1, 8, "unknown operation 'nope'"),
+    ("report blowup(T4, 1, 2)\n", "eval", 1, 8, "blowup takes 2 arguments, got 3"),
+    ("report blowup(T4, points=1)\n", "eval", 1, 8,
+     "blowup has no argument named 'points' (expected: k, m)"),
+    ("report blowup(T4, 1, m=T4)\n", "eval", 1, 8, "argument 'm' given twice"),
+    ("report blowup(T4, 1, k=2, m=3)\n", "eval", 1, 8, "argument 'k' given twice"),
+    ("report blowup()\n", "eval", 1, 8, "blowup is missing argument(s): m, k"),
+    ("report blowup(Missing, k=nope(1))\n", "eval", 1, 15, "unknown identifier 'Missing'"),
+    ("report blowup(nope(1), k=Missing)\n", "eval", 1, 15, "unknown operation 'nope'"),
+    ("report blowup(7, k=1)\n", "eval", 1, 15,
+     "blowup argument 'm' must be a manifold, got a scalar"),
+    ("report blowup((7), k=1)\n", "eval", 1, 16,
+     "blowup argument 'm' must be a manifold, got a scalar"),
+    ("report blowup(-(1), k=1)\n", "eval", 1, 15,
+     "blowup argument 'm' must be a manifold, got a scalar"),
+    ("report blowup(1+T4, k=1)\n", "eval", 1, 16, "'+' applies to scalars only"),
+    ("report blowup(T4, k=T4)\n", "eval", 1, 21,
+     "blowup argument 'k' must be a scalar, got a manifold"),
+    ("report blowup(surface(genus=1, self_int=0), k=1)\n", "eval", 1, 15,
+     "blowup argument 'm' must be a manifold, got a marked surface"),
+    ("report resolve(T4, T4, k=1)\n", "eval", 1, 16,
+     "resolve argument 's1' must be a marked surface, got a manifold"),
+    # arguments run in parameter order, not source order: x fails before fy
+    ("report fiber_sum(fy=T4, x=1, fx=surface(genus=1, self_int=0), y=T4)\n", "eval", 1, 27,
+     "fiber_sum argument 'x' must be a manifold, got a scalar"),
+    ("report blowup(T4, k=-1)\n", "eval", 1, 8,
+     "blow-up count must be a nonnegative integer, got -1"),
+    ("report surface(genus=1, self_int=1/2)\n", "eval", 1, 8,
+     "surface self-intersection must be an integer, got 1/2"),
+    ("report knot_surgery(T4, knot_genus=1)\n", "eval", 1, 8,
+     "knot surgery needs a Seiberg-Witten ledger on the record"),
+]
+
+
+@pytest.mark.parametrize(("text", "stage", "line", "col", "message"), SCRIPT_ERRORS)
+def test_every_script_error_keeps_its_stage_location_and_message(text, stage, line, col, message):
+    assert _outcome(text) == (stage, line, col, message)

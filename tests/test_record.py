@@ -15,16 +15,14 @@ from fourgeo.calculus import Declared, MarkedSurface, bmy_report, declared_true
 from fourgeo.knots import SWLedger, torus_knot
 from fourgeo.pipeline import branch_preset, build_cover_block, exotic_family
 from fourgeo.record import Record, replace
-from fourgeo.script import Name, Neg, Node, Num, Report, Var, parse
+from fourgeo.script import Let, Node, Report, parse
 
 
 def _samples() -> list[Record]:
     cover = build_cover_block(3)
     exotic = exotic_family(3, 2)
-    ast = parse("let X = blowup(T4, k=-n^2 + 1)\nreport X\n")
-    let, report = ast.statements
-    call = let.expr
-    binop = call.named[0][1]
+    script = parse("let X = blowup(T4, k=-n^2 + 1)\nreport X\n")
+    let, report = script.statements
     return [
         N**2 + 1,
         LaurentPoly({1: 2, 0: -3, -1: 2}),
@@ -41,8 +39,7 @@ def _samples() -> list[Record]:
         cover.checks[0],
         cover,
         Node(line=1, col=1),
-        ast, let, report, call, binop, binop.left, binop.left.operand.left, binop.right,
-        call.args[0],
+        script, let, report,
     ]
 
 
@@ -84,8 +81,9 @@ def test_equal_fields_give_equal_records_and_hashes(record):
 
 
 def test_records_of_different_classes_are_unequal():
-    assert Neg(Num(1)) != Report(Num(1))
-    assert Var() != Node()
+    program = (("num", 1, 1, 8),)
+    assert Report(program) != Let("X", program)
+    assert Report(()) != Node()
 
     class Strict(Declared):
         pass
@@ -113,20 +111,30 @@ def test_construction_checks_its_arguments():
 
 
 def test_positions_are_keyword_only_and_not_compared():
+    program = (("num", 1, 1, 8),)
+    assert Report(program, line=1, col=1) == Report(program, line=4, col=9)
+    assert hash(Report(program, line=1, col=1)) == hash(Report(program))
+    assert Node(line=2, col=3) == Node()
+    assert Let("X", program, line=2, col=3) == Let("X", program) != Let("Y", program)
+    with pytest.raises(TypeError, match="at most 2 positional fields"):
+        Let("X", program, 3)
+    # a statement's own position is metadata, but each instruction of its
+    # program carries its token's position: scripts that differ only in
+    # spacing compile to unequal programs
     first, second = parse("report 1+2"), parse("   report 1 +   2")
-    assert first == second and hash(first) == hash(second)
     (a,), (b,) = first.statements, second.statements
-    assert (a.col, a.expr.col, a.expr.right.col) == (1, 9, 10)
-    assert (b.col, b.expr.col, b.expr.right.col) == (4, 13, 17)
-    assert Num(1, line=2, col=3) == Num(1) and Num(1) != Num(2)
-    with pytest.raises(TypeError, match="at most 1 positional fields"):
-        Num(1, 2, 3)
+    assert (a.col, b.col) == (1, 4)
+    assert [col for _, _, _, col in a.program] == [8, 10, 9]
+    assert [col for _, _, _, col in b.program] == [11, 17, 13]
+    assert first != second
 
 
 def test_repr_lists_every_field():
     assert repr(declared_true("r")) == "Declared(value=True, reason='r')"
-    assert repr(Num(3, line=1, col=2)) == "Num(line=1, col=2, value=3)"
-    assert repr(Name("X")) == "Name(line=0, col=0, ident='X')"
+    assert repr(Report((("n", None, 1, 8),), line=1, col=1)) == (
+        "Report(line=1, col=1, program=(('n', None, 1, 8),))"
+    )
+    assert repr(Let("X", ())) == "Let(line=0, col=0, name='X', program=())"
 
 
 def test_cli_import_loads_no_code_generation_machinery():
