@@ -180,6 +180,10 @@ class Poly(Record):
             raise ValueError(f"{self} is not constant")
         return self.coefficient(0)
 
+    def shift(self, k: int) -> "Poly":
+        """The polynomial p(n + k), for an integer k."""
+        return Poly._reduced(_taylor_shift(self._nums, k), self._den)
+
     def coefficient(self, power: int) -> Fraction:
         if 0 <= power < len(self._nums):
             return Fraction(self._nums[power], self._den)

@@ -157,7 +157,8 @@ def make_parser() -> argparse.ArgumentParser:
                               help="re-derive and check every closed-form result")
     p_verify.add_argument("--json", action="store_true", help="machine-readable report")
     p_verify.add_argument("--n-max", type=int, default=50,
-                          help="top of the numeric scan range (default 50)")
+                          help="top of the numeric cross-check range (default 50); "
+                               "the claims about every n are decided exactly")
     p_verify.set_defaults(fn=_cmd_verify)
 
     p_geo = sub.add_parser("geography", help="scan the family into CSV/SVG")
@@ -177,6 +178,10 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Exact values are printed whole, past the int-to-str digit limit (which
+    # interpreters before 3.10.7 lack); scripts bound each power instead.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = make_parser()
     args = parser.parse_args(argv)
     try:

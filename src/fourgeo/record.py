@@ -5,34 +5,29 @@ bases; a class-level value is the field's default.  The constructor takes
 the fields positionally or by keyword, fills in the defaults and then calls
 __post_init__, which may validate a field or normalize it through
 object.__setattr__.  Records refuse assignment and deletion, compare and
-hash by exact type and field values, and print as Name(field=value, ...).
-
-The fields a class names in _metadata (source positions) are keyword-only
-and take no part in equality and hashing.  Records keep an instance
-__dict__, so cached_property works on them.
+hash by exact type and every field value, and print as
+Name(field=value, ...).  Records keep an instance __dict__, so
+cached_property works on them.
 """
 
 from __future__ import annotations
 
 
 class Record:
-    _metadata = ()  # keyword-only fields outside equality and hashing
     _fields = ()  # every field, those of the bases first
-    _compared = ()  # the fields that are not metadata: positional, compared
     _defaults = {}
 
     def __init_subclass__(cls):
         own = [f for f in cls.__dict__.get("__annotations__", {}) if f not in cls._fields]
         cls._fields = cls._fields + tuple(own)
-        cls._compared = tuple(f for f in cls._fields if f not in cls._metadata)
         cls._defaults = {f: getattr(cls, f) for f in cls._fields if hasattr(cls, f)}
 
     def __init__(self, *args, **kwargs):
         cls = self.__class__
-        if len(args) > len(cls._compared):
-            raise TypeError(f"{cls.__name__} takes at most {len(cls._compared)} positional fields")
+        if len(args) > len(cls._fields):
+            raise TypeError(f"{cls.__name__} takes at most {len(cls._fields)} positional fields")
         values = self.__dict__
-        values.update(zip(cls._compared, args))
+        values.update(zip(cls._fields, args))
         if kwargs:
             for name in kwargs:
                 if name in values or name not in cls._fields:
@@ -50,7 +45,7 @@ class Record:
         pass
 
     def _key(self) -> tuple:
-        return tuple([getattr(self, f) for f in self._compared])
+        return tuple([getattr(self, f) for f in self._fields])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -84,10 +84,7 @@ _Instr = tuple[str, object, int, int]
 
 
 class Node(Record):
-    _metadata = ("line", "col")  # keyword-only, outside equality and hashing
-
-    line: int = 0
-    col: int = 0
+    """A statement: Let or Report."""
 
 
 class Let(Node):
@@ -175,14 +172,14 @@ def parse(text: str) -> Script:
             if tokens[pos + 2][0] != "=":
                 raise _expected("'='", tokens[pos + 2])
             program, pos = _compile(tokens, pos + 3)
-            statements.append(Let(name, program, line=line, col=col))
+            statements.append(Let(name, program))
             bound.add(name)
         elif kind == "IDENT" and word == "report":
             if report_seen:
                 raise ScriptError(line, col, "only one 'report' statement is allowed")
             report_seen = True
             program, pos = _compile(tokens, pos + 1)
-            statements.append(Report(program, line=line, col=col))
+            statements.append(Report(program))
         else:
             raise _expected("'let' or 'report'", tokens[pos])
         if tokens[pos][0] == "NEWLINE":
@@ -411,6 +408,11 @@ def _kind_of(value) -> str:
     return "scalar"
 
 
+# Caps on one power; timed on a shared 2-core Xeon VM
+_MAX_POWER_DEGREE = 1000  # (n+2)^1000 takes 0.36 s
+_MAX_POWER_BITS = 2**16  # 3^41000 (64,984 bits) takes 0.9 ms, and 7 ms to print
+
+
 def _binary(op: str, left, right):
     # a sum, difference or product of Fractions can be integral
     if op == "+":
@@ -426,7 +428,16 @@ def _binary(op: str, left, right):
         exponent = as_scalar(exponent.constant_value())
     if isinstance(exponent, Poly) or exponent.denominator != 1 or exponent < 0:
         raise ValueError("exponent must be a nonnegative integer")
-    return as_scalar(left) ** int(exponent)
+    base, exponent = as_scalar(left), int(exponent)
+    degree = base.degree * exponent if isinstance(base, Poly) else 0
+    if degree > _MAX_POWER_DEGREE:
+        raise ValueError(f"power too large: degree {degree} is above {_MAX_POWER_DEGREE}")
+    # the result's bit length, estimated from the base's largest number
+    parts = base.coeffs if isinstance(base, Poly) else (base,)
+    bits = exponent * max((abs(c.numerator) + c.denominator).bit_length() for c in parts or [0])
+    if bits > _MAX_POWER_BITS:
+        raise ValueError(f"power too large: about {bits} bits, above {_MAX_POWER_BITS}")
+    return base**exponent
 
 
 def _run(program: tuple[_Instr, ...], env: dict, param: Scalar):

@@ -67,7 +67,8 @@ nonzero_rationals = coefficients.filter(bool)
 @RING_CASES
 @given(polys, polys, st.integers(min_value=0, max_value=4), nonzero_rationals)
 def test_poly_results_are_in_lowest_terms(a, b, e, c):
-    for p in (a, b, a + b, a - b, a * b, a**e, a / c, -a, a + c, c - a, c * a):
+    shifted = a.shift(e - 2)
+    for p in (a, b, a + b, a - b, a * b, a**e, a / c, -a, a + c, c - a, c * a, shifted):
         assert _in_lowest_terms(p)
         assert Poly(p.coeffs) == p
 

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from fourgeo import pipeline
+from fourgeo.algebra import N
 from fourgeo.cli import main
 from fourgeo.record import replace
 
@@ -58,6 +59,14 @@ def test_build_superscript_digit_is_located_exit_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == f"{script}: line 1, col 9: unexpected character '²'\n"
+
+
+def test_build_prints_a_value_past_the_int_to_str_digit_limit(capsys, tmp_path):
+    script = tmp_path / "big.geo"
+    script.write_text("report 10^5000\n")
+    code, out, err = run(capsys, "build", str(script), "--n", "3")
+    assert (code, err) == (0, "")
+    assert out == "mode: numeric, n = 3\nvalue = 1" + "0" * 5000 + "\n"
 
 
 @pytest.mark.parametrize("args, message", [
@@ -234,6 +243,27 @@ def test_verify_paper_reports_drifting_stage(capsys, monkeypatch, name, drift, c
     assert code == 1
     failed = [e for e in json.loads(out) if not e["pass"]]
     assert any(check in e["got"] for e in failed)
+
+
+_BUILD = pipeline.build_family
+
+
+@pytest.mark.parametrize("sigma, check", [
+    (lambda m: m.sigma - 1000, "sigma > 0 for every n >= 3"),
+    (lambda m: m.sigma + 4 * N**7, "below the 9*chi_h line for every n >= 2"),
+    (lambda m: 4 - m.e, "ratio strictly increasing for every n >= 3"),
+    (lambda m: -m.e, "chi_h >= 1 for every n >= 2"),
+])
+def test_verify_paper_fails_a_perturbed_family_by_name(capsys, monkeypatch, sigma, check):
+    # each claim about every n fails once the family's signature drifts
+    def perturbed(n=None):
+        family = _BUILD(n)
+        return replace(family, manifold=replace(family.manifold, sigma=sigma(family.manifold)))
+
+    monkeypatch.setattr(pipeline, "build_family", perturbed)
+    code, out, _ = run(capsys, "verify-paper", "--json", "--n-max", "4")
+    assert code == 1
+    assert check in [e["name"] for e in json.loads(out) if not e["pass"]]
 
 
 def test_verify_paper_deterministic(capsys):

@@ -196,6 +196,14 @@ def test_verify_formulas_builds_each_stage_once(monkeypatch):
     assert set(built.values()) == {1}
 
 
+def test_claims_about_every_n_do_not_depend_on_n_max():
+    def claims(n_max):
+        return [c for c in verify_formulas(n_max) if "for every n" in c.name]
+
+    assert len(claims(4)) == 4 and all(c.passed for c in claims(4))
+    assert claims(4) == claims(50)
+
+
 def test_verify_formulas_rejects_short_range():
     with pytest.raises(ValueError, match="n_max must be at least 4"):
         verify_formulas(n_max=3)

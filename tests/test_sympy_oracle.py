@@ -100,6 +100,16 @@ def test_poly_arithmetic_matches_sympy():
         assert a(x) == fraction(sa.eval(sympy.Rational(x.numerator, x.denominator)))
 
 
+def test_shift_matches_sympy():
+    rng = random.Random(1163)
+    for case in range(CASES):
+        a = (rand_big_poly if case % 10 == 0 else rand_poly)(rng)
+        k, x = rng.randint(-5, 5), rng.randint(-10, 10)
+        shifted = sympy.expand(to_sympy(a).as_expr().subs(n, n + k))
+        assert a.shift(k) == from_sympy(sympy.Poly(shifted, n, domain="QQ"))
+        assert a.shift(k)(x) == a(x + k)
+
+
 def test_laurent_product_matches_sympy():
     rng = random.Random(1163)
     for _ in range(CASES):
