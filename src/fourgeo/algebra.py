@@ -705,10 +705,21 @@ def _strip(low: int, cs: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     return low + lo, tuple(cs[lo:hi] if lo or hi < len(cs) else cs)
 
 
-def format_decimal(x: Fraction, places: int = 6) -> str:
-    """Fixed-point decimal rendering with round-half-even, exact arithmetic."""
+def format_quotient(numerator: int, denominator: int, places: int) -> str:
+    """numerator / denominator, for ints with denominator > 0, as a decimal
+    with `places` digits after the point, rounded half to even: one divmod
+    of the scaled numerator, no Fraction."""
     scale = 10**places
-    scaled = round(x * scale)  # Fraction.__round__ rounds half to even
+    scaled, rest = divmod(numerator * scale, denominator)  # floor, 0 <= rest
+    rest *= 2
+    if rest > denominator or (rest == denominator and scaled & 1):
+        scaled += 1
     sign = "-" if scaled < 0 else ""
-    scaled = abs(scaled)
-    return f"{sign}{scaled // scale}.{scaled % scale:0{places}d}"
+    whole, frac = divmod(abs(scaled), scale)
+    return f"{sign}{whole}.{frac:0{places}d}"
+
+
+def format_decimal(x: Fraction, places: int = 6) -> str:
+    """A Fraction (or int) as a decimal with `places` digits after the
+    point, rounded half to even by format_quotient."""
+    return format_quotient(x.numerator, x.denominator, places)

@@ -14,7 +14,6 @@ or an argument the library rejects (its ValueError message is printed).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import geography
@@ -73,6 +72,8 @@ def _cmd_build(args) -> int:
 def _cmd_verify(args) -> int:
     checks = verify_formulas(n_max=args.n_max)
     if args.json:
+        import json  # only here, so other commands do not pay for its import
+
         payload = [
             {"name": c.name, "expected": c.expected, "got": c.got, "pass": c.passed, "note": c.note}
             for c in checks

@@ -8,15 +8,16 @@ record and the ratio, gap and side from the report.
 
 Output is text assembled by hand so that identical inputs give byte-identical
 files: LF line endings, fixed column order, exact integers (or p/q) in every
-column except the 6-decimal ratio, coordinates derived by exact rational
-scaling before formatting.
+column except the 6-decimal ratio.  Each SVG coordinate is an integer
+numerator over its axis's integer denominator, rounded half to even once, to
+two places, by algebra.format_quotient; no Fraction is built per point.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 
-from .algebra import format_decimal, quotient, scalar_str
+from .algebra import format_decimal, format_quotient, scalar_str
 from .calculus import BmyReport, ManifoldRecord, bmy_report, parameter
 from .pipeline import build_family
 
@@ -65,58 +66,66 @@ def render_csv(rows: list[Row]) -> str:
 
 _WIDTH, _HEIGHT = 860, 620
 _MARGIN = 70
+_PLOT_W, _PLOT_H = _WIDTH - 2 * _MARGIN, _HEIGHT - 2 * _MARGIN
 
 
-def _fmt(x: Fraction) -> str:
-    return format_decimal(x, 2)
+def _axis(values: list) -> tuple[list[int], int, int]:
+    """(P, D, L) for one axis: the values as ints P over their common
+    denominator L, and D = max(21 * max P, 20 * L), so that the axis top
+    max(21/20 * max value, 1) is D / (20 * L) and a value P / L lies at
+    20 * P / D of the axis."""
+    common = math.lcm(*(v.denominator for v in values))
+    scaled = [v.numerator * (common // v.denominator) for v in values]
+    return scaled, max(21 * max(scaled), 20 * common), common
 
 
 def render_svg(rows: list[Row]) -> str:
     """Scatter of (chi_h, c1^2) with the reference lines c1^2 = 8*chi_h and
-    c1^2 = 9*chi_h, linear axes from the origin, points labeled by n."""
+    c1^2 = 9*chi_h, linear axes from the origin, points labeled by n.
+
+    Every coordinate is an int numerator over an int denominator, rounded
+    once by format_quotient; a label offset adds offset * denominator."""
     if not rows:
         raise ValueError("nothing to plot")
-    x_max = max(record.chi_h for _, record, _ in rows) * Fraction(21, 20)
-    y_max = max(record.c1sq for _, record, _ in rows) * Fraction(21, 20)
-    x_max = max(x_max, Fraction(1))
-    y_max = max(y_max, Fraction(1))
-    plot_w = Fraction(_WIDTH - 2 * _MARGIN)
-    plot_h = Fraction(_HEIGHT - 2 * _MARGIN)
-
-    def px(chi: Fraction) -> Fraction:
-        return _MARGIN + quotient(chi, x_max) * plot_w
-
-    def py(c1: Fraction) -> Fraction:
-        return _HEIGHT - _MARGIN - quotient(c1, y_max) * plot_h
+    chis, x_den, x_common = _axis([record.chi_h for _, record, _ in rows])
+    c1s, y_den, y_common = _axis([record.c1sq for _, record, _ in rows])
+    bottom = _HEIGHT - _MARGIN
+    fmt = format_quotient
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
-        f'<rect x="{_MARGIN}" y="{_MARGIN}" width="{_WIDTH - 2 * _MARGIN}" '
-        f'height="{_HEIGHT - 2 * _MARGIN}" fill="none" stroke="black"/>',
+        f'<rect x="{_MARGIN}" y="{_MARGIN}" width="{_PLOT_W}" '
+        f'height="{_PLOT_H}" fill="none" stroke="black"/>',
         f'<text x="{_WIDTH // 2}" y="{_HEIGHT - 20}" text-anchor="middle" '
         f'font-size="14">chi_h</text>',
         f'<text x="20" y="{_HEIGHT // 2}" text-anchor="middle" font-size="14" '
         f'transform="rotate(-90 20 {_HEIGHT // 2})">c1^2</text>',
     ]
     for slope, dash in ((8, "6,4"), (9, "")):
-        # clip the ray c1^2 = slope*chi_h to the plot box
-        x_end = min(x_max, quotient(y_max, slope))
-        y_end = slope * x_end
+        # The ray c1^2 = slope*chi_h, clipped to the plot box, ends at
+        # m / h of the x axis and m / w of the y axis: h / w is slope
+        # times the x top over the y top, and m = min(h, w).
+        h, w = slope * x_den * y_common, y_den * x_common
+        m = min(h, w)
+        x_end, y_end = _MARGIN * h + _PLOT_W * m, bottom * w - _PLOT_H * m
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         parts.append(
-            f'<line x1="{_fmt(px(Fraction(0)))}" y1="{_fmt(py(Fraction(0)))}" '
-            f'x2="{_fmt(px(x_end))}" y2="{_fmt(py(y_end))}" stroke="gray"{dash_attr}/>'
+            f'<line x1="{fmt(_MARGIN, 1, 2)}" y1="{fmt(bottom, 1, 2)}" '
+            f'x2="{fmt(x_end, h, 2)}" y2="{fmt(y_end, w, 2)}" stroke="gray"{dash_attr}/>'
         )
         parts.append(
-            f'<text x="{_fmt(px(x_end) + 4)}" y="{_fmt(py(y_end) + 4)}" '
+            f'<text x="{fmt(x_end + 4 * h, h, 2)}" y="{fmt(y_end + 4 * w, w, 2)}" '
             f'font-size="12">c1^2 = {slope}*chi_h</text>'
         )
-    for n, record, _ in rows:
-        x, y = px(record.chi_h), py(record.c1sq)
-        parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" fill="black"/>')
+    x0, y0 = _MARGIN * x_den, bottom * y_den
+    x_unit, y_unit = 20 * _PLOT_W, 20 * _PLOT_H
+    for (n, _, _), chi, c1 in zip(rows, chis, c1s):
+        x, y = x0 + x_unit * chi, y0 - y_unit * c1
+        parts.append(f'<circle cx="{fmt(x, x_den, 2)}" cy="{fmt(y, y_den, 2)}" '
+                     f'r="3" fill="black"/>')
         parts.append(
-            f'<text x="{_fmt(x + 6)}" y="{_fmt(y - 6)}" '
+            f'<text x="{fmt(x + 6 * x_den, x_den, 2)}" y="{fmt(y - 6 * y_den, y_den, 2)}" '
             f'font-size="11">n={n}</text>'
         )
     parts.append("</svg>")

@@ -339,15 +339,12 @@ def verify_formulas(n_max: int = 50) -> list[CheckResult]:
                at_least(chi_h, 1) and at_least(climb.shift(1), 1)),
     ]
     if n_max >= 50:
-        r50 = bmy_report(members[50]).ratio
-        checks.append(
-            CheckResult(
-                "ratio at n=50 exceeds 8.99",
-                "> 8.99",
-                format_decimal(r50),
-                r50 > Fraction(899, 100),
-            )
-        )
+        try:
+            r50 = bmy_report(members[50]).ratio
+            got, passed = format_decimal(r50), r50 > Fraction(899, 100)
+        except ValueError as err:  # chi_h(50) = 0
+            got, passed = str(err), False
+        checks.append(CheckResult("ratio at n=50 exceeds 8.99", "> 8.99", got, passed))
     return checks
 
 

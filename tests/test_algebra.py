@@ -193,3 +193,5 @@ def test_format_decimal_round_half_even():
     assert format_decimal(Fraction(25, 10**7)) == "0.000002"
     assert format_decimal(Fraction(35, 10**7)) == "0.000004"
     assert format_decimal(Fraction(-85, 10)) == "-8.500000"
+    assert [format_decimal(Fraction(k, 8), 2) for k in (1, 3, -1, -3)] == [
+        "0.12", "0.38", "-0.12", "-0.38"]

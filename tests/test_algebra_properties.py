@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fourgeo.algebra import LaurentPoly, Poly, at_least, integer_valued, quotient
+from fourgeo.algebra import (
+    LaurentPoly,
+    Poly,
+    at_least,
+    format_decimal,
+    format_quotient,
+    integer_valued,
+    quotient,
+)
 from fourgeo.knots import torus_knot_alexander
 
 # Fractions in [-50, 50] with denominator at most 12, built from integer
@@ -270,3 +278,27 @@ def test_quotient_of_ints_is_exact(a, b):
     assert q == Fraction(a, b)
     assert isinstance(q, int) == (a % b == 0)
     assert not isinstance(q, (bool, float))
+
+
+def _reference_decimal(x, places):
+    # the rounding format_decimal did before format_quotient: a Fraction
+    # product, then Fraction.__round__, which rounds half to even
+    scale = 10**places
+    scaled = round(Fraction(x) * scale)
+    sign = "-" if scaled < 0 else ""
+    scaled = abs(scaled)
+    return f"{sign}{scaled // scale}.{scaled % scale:0{places}d}"
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.integers(min_value=-10**90, max_value=10**90), st.integers(min_value=1, max_value=10**30),
+       st.integers(min_value=1, max_value=8), st.integers(min_value=-10**20, max_value=10**20),
+       st.integers(min_value=1, max_value=10**6))
+def test_format_decimal_matches_fraction_round(a, b, places, k, m):
+    for x in (a, Fraction(a, b)):
+        assert format_decimal(x, places) == _reference_decimal(x, places)
+    # any int over any positive int, in lowest terms or not
+    assert format_quotient(a, b, places) == _reference_decimal(Fraction(a, b), places)
+    # an exact tie halfway between two neighbours at `places` digits
+    tie = ((2 * k + 1) * m, 2 * 10**places * m)
+    assert format_quotient(*tie, places) == _reference_decimal(Fraction(*tie), places)

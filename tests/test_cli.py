@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,7 +11,8 @@ from fourgeo.algebra import N
 from fourgeo.cli import main
 from fourgeo.record import replace
 
-KN_SCRIPT = str(Path(__file__).resolve().parent.parent / "scripts" / "kn.geo")
+REPO = Path(__file__).resolve().parent.parent
+KN_SCRIPT = str(REPO / "scripts" / "kn.geo")
 
 
 # build, exotic and geography reject n = 1 with this one line
@@ -255,15 +259,35 @@ _BUILD = pipeline.build_family
     (lambda m: -m.e, "chi_h >= 1 for every n >= 2"),
 ])
 def test_verify_paper_fails_a_perturbed_family_by_name(capsys, monkeypatch, sigma, check):
-    # each claim about every n fails once the family's signature drifts
+    # each claim about every n fails once the family's signature drifts,
+    # at the smallest numeric range and at the default one
+    _perturb(monkeypatch, sigma)
+    for n_max in (["--n-max", "4"], []):
+        assert check in _failed_checks(capsys, *n_max)
+
+
+def test_verify_paper_reports_chi_h_zero_at_n_50(capsys, monkeypatch):
+    # sigma = -e makes chi_h = 0 everywhere: the ratio at n = 50 is undefined,
+    # which fails its check instead of aborting the run
+    _perturb(monkeypatch, lambda m: -m.e)
+    failed = _failed_checks(capsys)
+    assert "chi_h >= 1 for every n >= 2" in failed
+    assert failed["ratio at n=50 exceeds 8.99"] == "ratio undefined: chi_h = 0"
+
+
+def _perturb(monkeypatch, sigma):
     def perturbed(n=None):
         family = _BUILD(n)
         return replace(family, manifold=replace(family.manifold, sigma=sigma(family.manifold)))
 
     monkeypatch.setattr(pipeline, "build_family", perturbed)
-    code, out, _ = run(capsys, "verify-paper", "--json", "--n-max", "4")
+
+
+def _failed_checks(capsys, *argv):
+    # name -> got of every failed check of verify-paper --json, which must exit 1
+    code, out, _ = run(capsys, "verify-paper", "--json", *argv)
     assert code == 1
-    assert check in [e["name"] for e in json.loads(out) if not e["pass"]]
+    return {e["name"]: e["got"] for e in json.loads(out) if not e["pass"]}
 
 
 def test_verify_paper_deterministic(capsys):
@@ -338,3 +362,29 @@ def test_exotic_at_benchmark_scale(capsys):
         "the results are pairwise non-diffeomorphic",
     ]
     assert out.splitlines() == expected
+
+
+# Every layer the trace harness (bench/trace_child.py) reads from sys.modules
+# right after importing fourgeo.cli.
+_TRACED_LAYERS = ("script", "pipeline", "geography", "calculus", "knots", "algebra", "blocks")
+
+_IMPORT_PROBE = """
+import sys
+import fourgeo.cli
+print("json" in sys.modules)
+print(" ".join(layer for layer in sys.argv[1:-2] if "fourgeo." + layer in sys.modules))
+code = fourgeo.cli.main(["geography", "--n-min", "2", "--n-max", "9",
+                         "--csv", sys.argv[-2], "--svg", sys.argv[-1]])
+print(code, "json" in sys.modules)
+"""
+
+
+def test_cli_imports_every_layer_but_not_json(tmp_path):
+    # json is imported by verify-paper --json alone; pytest imports json
+    # itself, so this runs in a fresh interpreter without site packages
+    argv = [sys.executable, "-S", "-c", _IMPORT_PROBE, *_TRACED_LAYERS,
+            str(tmp_path / "scan.csv"), str(tmp_path / "scan.svg")]
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    result = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert result.stderr == ""
+    assert result.stdout.splitlines() == ["False", " ".join(_TRACED_LAYERS), "0 False"]

@@ -41,3 +41,11 @@ def test_geography_output_is_byte_identical(capsys, tmp_path, n_min, n_max, stem
     assert main(["geography", "--n-min", n_min, "--n-max", n_max, "--svg", str(svg)]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{stem}.csv").read_text(encoding="utf-8")
     assert svg.read_bytes() == (GOLDEN / f"{stem}.svg").read_bytes()
+    # the CSV written with --csv, as the benchmark writes it
+    csv = tmp_path / "scan.csv"
+    svg.unlink()
+    argv = ["geography", "--n-min", n_min, "--n-max", n_max, "--csv", str(csv), "--svg", str(svg)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == ""
+    assert csv.read_bytes() == (GOLDEN / f"{stem}.csv").read_bytes()
+    assert svg.read_bytes() == (GOLDEN / f"{stem}.svg").read_bytes()
