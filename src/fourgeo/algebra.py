@@ -1,16 +1,15 @@
 """Exact arithmetic kernel: rationals, polynomials in n, Laurent polynomials in t.
 
-Three kinds of values circulate through the calculus:
+Besides ints and Fractions, two kinds of values circulate through the
+calculus:
 
-  Rational     an alias for fractions.Fraction (always reduced, positive
-               denominator, arbitrary precision).
   Poly         a univariate polynomial in the construction parameter n with
                rational coefficients, stored as ascending integer
                numerators over one positive denominator, in lowest terms
                (gcd(den, *nums) = 1, no trailing zero).  The zero
-               polynomial is ((), 1).  Arithmetic and evaluation work on
-               plain ints; the Fraction coefficients (.coeffs) are built
-               only when read.
+               polynomial is ((), 1).  Arithmetic, evaluation and printing
+               work on plain ints; the Fraction coefficients (.coeffs) are
+               built only when read.
   LaurentPoly  a Laurent polynomial in t with *integer* coefficients, stored
                densely as its lowest exponent and the tuple of every
                coefficient from there up, with no zero at either end; zero
@@ -41,13 +40,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
 from itertools import compress, zip_longest
 from typing import Mapping, Sequence, Union
 
-from .record import Record
-
-Rational = Fraction
+from .record import Record, cached
 
 Scalar = Union[int, Fraction, "Poly"]
 
@@ -60,10 +56,11 @@ def _to_fraction(x) -> Fraction:
     raise TypeError(f"expected an integer or Fraction, got {x!r}")
 
 
-def _format_dense(low: int, cs: Sequence[Fraction | int], symbol: str) -> str:
-    """Render sum(cs[i] * symbol^(low + i)), highest power first and zero
-    coefficients skipped, as in "-n^7 + 3*n - 1/3" or "t - 1 + t^-1"; "0"
-    when cs is empty.  cs[-1] must be nonzero."""
+def _format_dense(low: int, cs: Sequence[int], symbol: str, den: int = 1) -> str:
+    """Render sum(cs[i] / den * symbol^(low + i)), for ints cs and den > 0,
+    highest power first and zero coefficients skipped, as in
+    "-n^7 + 3*n - 1/3" or "t - 1 + t^-1"; "0" when cs is empty.  cs[-1] must
+    be nonzero.  A coefficient prints in lowest terms, reduced by one gcd."""
     parts = []
     plus, minus = f" + {symbol}^", f" - {symbol}^"
     # a polynomial in symbol^2, such as a ledger Delta(t^2), skips its odd
@@ -72,12 +69,15 @@ def _format_dense(low: int, cs: Sequence[Fraction | int], symbol: str) -> str:
     rev = cs[::-step]
     for e, c in compress(zip(range(low + len(cs) - 1, low - 1, -step), rev), rev):
         # +-symbol^e, nearly every term of a knot polynomial, first
-        if c == 1 and e != 0 and e != 1:
+        if c == den and e != 0 and e != 1:
             parts.append(f"{plus}{e}")
-        elif c == -1 and e != 0 and e != 1:
+        elif c == -den and e != 0 and e != 1:
             parts.append(f"{minus}{e}")
         else:
             a = abs(c)
+            if den != 1:
+                g = math.gcd(a, den)
+                a = a // g if g == den else f"{a // g}/{den // g}"
             if e == 0:
                 term = str(a)
             elif a == 1:
@@ -184,6 +184,12 @@ class Poly(Record):
         """The polynomial p(n + k), for an integer k."""
         return Poly._reduced(_taylor_shift(self._nums, k), self._den)
 
+    def coefficient_pairs(self) -> list[tuple[int, int]]:
+        """The coefficients of n^0 .. n^deg in lowest terms, as (numerator,
+        denominator) int pairs: .coeffs without building a Fraction."""
+        den = self._den
+        return [(c // g, den // g) for c in self._nums for g in [math.gcd(c, den)]]
+
     def coefficient(self, power: int) -> Fraction:
         if 0 <= power < len(self._nums):
             return Fraction(self._nums[power], self._den)
@@ -284,7 +290,7 @@ class Poly(Record):
             r = r - t * o
         return q, r
 
-    @cached_property
+    @cached
     def newton_table(self) -> tuple[tuple[int, ...], int]:
         """Forward differences at n = 2 over one common denominator.
 
@@ -338,7 +344,7 @@ class Poly(Record):
         return bool(self._nums)
 
     def __str__(self):
-        return _format_dense(0, self.coeffs, "n")
+        return _format_dense(0, self._nums, "n", self._den)
 
     def __repr__(self):
         return f"Poly[{self}]"
@@ -572,10 +578,6 @@ class LaurentPoly(Record):
     @classmethod
     def one(cls) -> "LaurentPoly":
         return cls._dense(0, (1,))
-
-    @classmethod
-    def t_power(cls, exponent: int, coefficient: int = 1) -> "LaurentPoly":
-        return cls(((exponent, coefficient),))
 
     # -- structure ---------------------------------------------------------
 

@@ -26,7 +26,6 @@ textual justification supplied by whoever asserted them.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 from .algebra import (
@@ -40,7 +39,7 @@ from .algebra import (
     quotient,
     scalar_str,
 )
-from .record import Record, replace
+from .record import Record, cached, replace
 
 if TYPE_CHECKING:
     from .knots import SWLedger
@@ -53,9 +52,6 @@ class Declared(Record):
 
     def is_true(self) -> bool:
         return self.value is True
-
-    def is_false(self) -> bool:
-        return self.value is False
 
     def __str__(self):
         if self.value is None:
@@ -146,11 +142,11 @@ class ManifoldRecord(Record):
     def c2(self) -> Scalar:
         return self.e
 
-    @cached_property
+    @cached
     def c1sq(self) -> Scalar:
         return 3 * self.sigma + 2 * self.e
 
-    @cached_property
+    @cached
     def chi_h(self) -> Scalar:
         return quotient(self.sigma + self.e, 4)
 
@@ -175,15 +171,6 @@ class ManifoldRecord(Record):
             "c1sq": self.c1sq,
             "chi_h": self.chi_h,
         }
-
-
-def make_manifold(e, sigma) -> ManifoldRecord:
-    """Record with the given (e, sigma); everything else starts unknown."""
-    e = as_scalar(e)
-    sigma = as_scalar(sigma)
-    return ManifoldRecord(
-        e, sigma, log=(f"manifold(e={scalar_str(e)}, sigma={scalar_str(sigma)})",)
-    )
 
 
 def parameter(n: int | None) -> Scalar:

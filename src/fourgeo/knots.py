@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import math
 import operator
-from functools import cached_property
 from itertools import accumulate
 
 from .algebra import LaurentPoly, Poly, Scalar, as_scalar, scalar_str
 from .calculus import ManifoldRecord, MarkedSurface, UNKNOWN, _require_count, declared_false
-from .record import Record, replace
+from .record import Record, cached, replace
 
 #: Largest knot genus whose Delta_K(t^2) factor a ledger expands when it is
 #: printed or compared (support size ~4g); larger genera stay factored.
@@ -53,7 +52,7 @@ class Knot(Record):
         if isinstance(self.polynomial, LaurentPoly):
             self.alexander  # a given polynomial is validated at once
 
-    @cached_property
+    @cached
     def alexander(self) -> LaurentPoly:
         a = self.polynomial
         if a is None:
@@ -70,7 +69,7 @@ class Knot(Record):
             raise ValueError(f"fibered knot needs a monic Alexander polynomial: {a}")
         return a
 
-    @cached_property
+    @cached
     def monic(self) -> bool:
         """True iff the (symmetric) Alexander polynomial has top coefficient +-1."""
         return abs(self.alexander.coefficients[-1]) == 1

@@ -18,12 +18,14 @@ as polynomials in n) or numerically (n a concrete integer >= 2):
                    c1^2 = 3n^7 + 20n^5 - 24n^4 + 6n^3 + 2, so the ratio
                    c1^2/chi_h climbs to 9.
 
-Every stage records named checks against the closed-form targets and raises
-on drift.  build_family(n) builds each stage once and its report carries the
-cover-block and K3-block reports it was built from, so nothing downstream
-rebuilds a stage.  verify_formulas() reads every check from one symbolic
-family report and one numeric report per n, without raising; its claims
-about every n are decided exactly, not sampled.  The numeric n = 3, 4 table
+Every stage compares named checks against the closed-form targets when it
+is built and raises on drift; its report formats those checks only when
+they are read, so a passing check costs no string.  build_family(n) builds
+each stage once and its report carries the cover-block and K3-block reports
+it was built from, so nothing downstream rebuilds a stage.
+verify_formulas() reads the stage checks of one symbolic family report and
+the manifold of one numeric report per n, without raising; its claims about
+every n are decided exactly, not sampled.  The numeric n = 3, 4 table
 flags the published sigma = 227 for n = 3 as a warning, never an error: the
 table's own chi_h/c2/c1^2 values and the closed form both give 337.
 """
@@ -71,7 +73,7 @@ from .knots import (
     torus_knot,
     FamilyReport,
 )
-from .record import Record, replace
+from .record import Record, cached, replace
 
 
 class CheckResult(Record):
@@ -82,29 +84,43 @@ class CheckResult(Record):
     note: str = ""
 
 
+def _compare(name: str, expected, got, note: str = "") -> tuple:
+    # a check decided now and formatted by _result when read: (name,
+    # expected, got, passed, note); bools and strings are compared as given,
+    # anything else in scalar form
+    if not (isinstance(expected, (bool, str)) or isinstance(got, (bool, str))):
+        expected, got = as_scalar(expected), as_scalar(got)
+    return name, expected, got, expected == got, note
+
+
+def _result(name: str, expected, got, passed: bool, note: str) -> CheckResult:
+    return CheckResult(name, str(expected), str(got), passed, note)
+
+
+def _check(name: str, expected, got, note: str = "") -> CheckResult:
+    return _result(*_compare(name, expected, got, note))
+
+
 class PipelineReport(Record):
-    """A stage's manifold and checks.  The cover block adds its fiber
-    intersection count, and the family the gluing surface and the two block
-    reports it was built from."""
+    """A stage's manifold and compared checks.  The cover block adds its
+    fiber intersection count, and the family the gluing surface and the two
+    block reports it was built from."""
 
     manifold: ManifoldRecord
-    checks: tuple[CheckResult, ...] = ()
+    compared: tuple[tuple, ...] = ()  # from _compare
     intersections: Scalar | None = None
     surface: MarkedSurface | None = None
     cover: PipelineReport | None = None
     k3: PipelineReport | None = None
 
-
-def _check(name: str, expected, got, note: str = "") -> CheckResult:
-    if isinstance(expected, (bool, str)) or isinstance(got, (bool, str)):
-        return CheckResult(name, str(expected), str(got), expected == got, note)
-    expected = as_scalar(expected)
-    got = as_scalar(got)
-    return CheckResult(name, scalar_str(expected), scalar_str(got), expected == got, note)
+    @cached
+    def checks(self) -> tuple[CheckResult, ...]:
+        """The stage's checks, formatted on first read."""
+        return tuple([_result(*c) for c in self.compared])
 
 
-def _assert_checks(checks: list[CheckResult]) -> None:
-    bad = [c for c in checks if not c.passed]
+def _assert_checks(compared: list[tuple]) -> None:
+    bad = [_result(*c) for c in compared if not c[3]]
     if bad:
         lines = ", ".join(f"{c.name}: expected {c.expected}, got {c.got}" for c in bad)
         raise RuntimeError(f"construction drift: {lines}")
@@ -134,20 +150,20 @@ def build_cover_block(n: int | None = None) -> PipelineReport:
     singular_euler = euler_of_union([v**2 * sphere_cover_euler, v**2 * 0], v**4)
 
     checks = [
-        _check("cover block: c2", v**7, cover.c2),
-        _check("cover block: c1^2", 3 * v**7 - 4 * v**5, cover.c1sq),
-        _check("cover block: sigma", quotient(v**7 - 4 * v**5, 3), cover.sigma),
-        _check("cover block: chi_h", quotient(v**7 - v**5, 3), cover.chi_h),
-        _check("regular fiber: euler", -3 * v**5 + 3 * v**4, regular_euler),
-        _check("regular fiber: genus", 1 + quotient(3 * (v**5 - v**4), 2), regular_genus),
-        _check("singular fiber: euler", -2 * v**5 + 3 * v**4, singular_euler),
-        _check("covered exceptional sphere: euler", -2 * v**3 + 4 * v**2, sphere_cover_euler),
+        _compare("cover block: c2", v**7, cover.c2),
+        _compare("cover block: c1^2", 3 * v**7 - 4 * v**5, cover.c1sq),
+        _compare("cover block: sigma", quotient(v**7 - 4 * v**5, 3), cover.sigma),
+        _compare("cover block: chi_h", quotient(v**7 - v**5, 3), cover.chi_h),
+        _compare("regular fiber: euler", -3 * v**5 + 3 * v**4, regular_euler),
+        _compare("regular fiber: genus", 1 + quotient(3 * (v**5 - v**4), 2), regular_genus),
+        _compare("singular fiber: euler", -2 * v**5 + 3 * v**4, singular_euler),
+        _compare("covered exceptional sphere: euler", -2 * v**3 + 4 * v**2, sphere_cover_euler),
     ]
     _assert_checks(checks)
 
     return PipelineReport(
         manifold=cover.with_surface("fiber", MarkedSurface(regular_genus, 0)),
-        checks=tuple(checks),
+        compared=tuple(checks),
         intersections=v**3,
     )
 
@@ -181,15 +197,15 @@ def build_k3_block(n: int | None = None) -> PipelineReport:
 
     glued = record.surface("section")
     checks = [
-        _check("K3 block: c2", 2 * v**3 + 22, record.c2),
-        _check("K3 block: c1^2", -2 * v**3 + 2, record.c1sq),
-        _check("K3 block: chi_h", 2, record.chi_h),
-        _check("K3 block: sigma", -2 * v**3 - 14, record.sigma),
-        _check("K3 block surface: genus", gluing_genus(v), glued.genus),
-        _check("K3 block surface: self-intersection", -2 * v**3, glued.self_int),
+        _compare("K3 block: c2", 2 * v**3 + 22, record.c2),
+        _compare("K3 block: c1^2", -2 * v**3 + 2, record.c1sq),
+        _compare("K3 block: chi_h", 2, record.chi_h),
+        _compare("K3 block: sigma", -2 * v**3 - 14, record.sigma),
+        _compare("K3 block surface: genus", gluing_genus(v), glued.genus),
+        _compare("K3 block surface: self-intersection", -2 * v**3, glued.self_int),
     ]
     _assert_checks(checks)
-    return PipelineReport(manifold=record, checks=tuple(checks))
+    return PipelineReport(manifold=record, compared=tuple(checks))
 
 
 def family_targets(v: Scalar) -> dict[str, Scalar]:
@@ -215,8 +231,8 @@ def build_family(n: int | None = None) -> PipelineReport:
     fiber = cover.manifold.surface("fiber")
     gluing = resolve_surfaces(fiber, fiber, cover.intersections)
     _assert_checks([
-        _check("gluing surface: genus", gluing_genus(v), gluing.genus),
-        _check("gluing surface: self-intersection", 2 * v**3, gluing.self_int),
+        _compare("gluing surface: genus", gluing_genus(v), gluing.genus),
+        _compare("gluing surface: self-intersection", 2 * v**3, gluing.self_int),
     ])
     k3 = build_k3_block(n)
 
@@ -233,11 +249,11 @@ def build_family(n: int | None = None) -> PipelineReport:
 
     targets = family_targets(v)
     checks = [
-        _check("glued family: c2", targets["c2"], glued.c2),
-        _check("glued family: c1^2", targets["c1sq"], glued.c1sq),
-        _check("glued family: chi_h", targets["chi_h"], glued.chi_h),
-        _check("glued family: sigma", targets["sigma"], glued.sigma),
-        _check(
+        _compare("glued family: c2", targets["c2"], glued.c2),
+        _compare("glued family: c1^2", targets["c1sq"], glued.c1sq),
+        _compare("glued family: chi_h", targets["chi_h"], glued.chi_h),
+        _compare("glued family: sigma", targets["sigma"], glued.sigma),
+        _compare(
             "fiber sum consistency: c1^2 gain is 8(g-1)",
             8 * (gluing.genus - 1),
             glued.c1sq - cover.manifold.c1sq - k3.manifold.c1sq,
@@ -246,7 +262,7 @@ def build_family(n: int | None = None) -> PipelineReport:
     _assert_checks(checks)
     return PipelineReport(
         manifold=glued,
-        checks=tuple(checks),
+        compared=tuple(checks),
         surface=gluing,
         cover=cover,
         k3=k3,
@@ -268,7 +284,8 @@ def verify_formulas(n_max: int = 50) -> list[CheckResult]:
     report (the block checks appear twice: once per block, once more just
     before the family's own checks); its claims about every n are decided
     on those polynomials by at_least.  Each member n = 2..n_max (n_max >= 4)
-    is built once, for the cross-check, the table, sigma(2) and ratio(50)."""
+    is built once, for the cross-check, the table, sigma(2) and ratio(50);
+    only its manifold is read, so its stage checks are never formatted."""
     if n_max < 4:
         raise ValueError(
             f"n_max must be at least 4, got {n_max} (the checks read the n = 3, 4 table)"

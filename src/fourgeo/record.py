@@ -4,37 +4,58 @@ A subclass of Record declares its fields as annotations, after those of its
 bases; a class-level value is the field's default.  The constructor takes
 the fields positionally or by keyword, fills in the defaults and then calls
 __post_init__, which may validate a field or normalize it through
-object.__setattr__.  Records refuse assignment and deletion, compare and
-hash by exact type and every field value, and print as
-Name(field=value, ...).  Records keep an instance __dict__, so
-cached_property works on them.
+object.__setattr__.  A call that gives every field positionally, the common
+case, skips the keyword and default bookkeeping.  Records refuse assignment
+and deletion, compare and hash by exact type and every field value, and
+print as Name(field=value, ...).  Records keep an instance __dict__, where
+a `cached` attribute stores its value on first read.
 """
 
 from __future__ import annotations
 
 
+class cached:
+    """A method read as an attribute, computed on first read and then kept
+    in the instance __dict__, which shadows this (non-data) descriptor.
+    Unlike functools.cached_property on Python 3.10 and 3.11 it takes no
+    lock: threads that read first at once may each compute the value, and
+    as records are immutable those values are equal."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.fn(instance)
+        return value
+
+
 class Record:
     _fields = ()  # every field, those of the bases first
+    _field_set = frozenset()
     _defaults = {}
 
     def __init_subclass__(cls):
         own = [f for f in cls.__dict__.get("__annotations__", {}) if f not in cls._fields]
         cls._fields = cls._fields + tuple(own)
+        cls._field_set = frozenset(cls._fields)
         cls._defaults = {f: getattr(cls, f) for f in cls._fields if hasattr(cls, f)}
 
     def __init__(self, *args, **kwargs):
-        cls = self.__class__
-        if len(args) > len(cls._fields):
-            raise TypeError(f"{cls.__name__} takes at most {len(cls._fields)} positional fields")
-        values = self.__dict__
-        values.update(zip(cls._fields, args))
-        if kwargs:
+        cls, values = self.__class__, self.__dict__
+        fields = cls._fields
+        values.update(zip(fields, args))
+        if kwargs or len(args) != len(fields):  # else every field is given
+            if len(args) > len(fields):
+                raise TypeError(f"{cls.__name__} takes at most {len(fields)} positional fields")
             for name in kwargs:
-                if name in values or name not in cls._fields:
+                if name in values or name not in cls._field_set:
                     raise TypeError(f"{cls.__name__} got an unknown or repeated field {name!r}")
             values.update(kwargs)
-        if len(values) < len(cls._fields):
-            for name in cls._fields:
+            for name in fields:
                 if name not in values:
                     if name not in cls._defaults:
                         raise TypeError(f"{cls.__name__} is missing the field {name!r}")
@@ -68,7 +89,15 @@ class Record:
 
 def replace(record: Record, **changes) -> Record:
     """A new record of the same type with some fields changed; its
-    __post_init__ runs again, so the result is validated like any other."""
-    values = {f: getattr(record, f) for f in record._fields}
-    values.update(changes)
-    return record.__class__(**values)
+    __post_init__ runs again, so the result is validated like any other.
+    Cached attributes are not carried over: the new record computes its own."""
+    cls = record.__class__
+    for name in changes:
+        if name not in cls._field_set:
+            raise TypeError(f"{cls.__name__} got an unknown or repeated field {name!r}")
+    new = object.__new__(cls)
+    new.__dict__.update(
+        {f: changes[f] if f in changes else getattr(record, f) for f in cls._fields}
+    )
+    new.__post_init__()
+    return new

@@ -429,12 +429,14 @@ def _binary(op: str, left, right):
     if isinstance(exponent, Poly) or exponent.denominator != 1 or exponent < 0:
         raise ValueError("exponent must be a nonnegative integer")
     base, exponent = as_scalar(left), int(exponent)
-    degree = base.degree * exponent if isinstance(base, Poly) else 0
+    if isinstance(base, Poly):
+        degree, pairs = base.degree * exponent, base.coefficient_pairs()
+    else:
+        degree, pairs = 0, [(base.numerator, base.denominator)]
     if degree > _MAX_POWER_DEGREE:
         raise ValueError(f"power too large: degree {degree} is above {_MAX_POWER_DEGREE}")
     # the result's bit length, estimated from the base's largest number
-    parts = base.coeffs if isinstance(base, Poly) else (base,)
-    bits = exponent * max((abs(c.numerator) + c.denominator).bit_length() for c in parts or [0])
+    bits = exponent * max((abs(a) + b).bit_length() for a, b in pairs or [(0, 1)])
     if bits > _MAX_POWER_BITS:
         raise ValueError(f"power too large: about {bits} bits, above {_MAX_POWER_BITS}")
     return base**exponent

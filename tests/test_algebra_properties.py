@@ -136,7 +136,7 @@ def test_monomial_product_shifts_and_scales(k, c, a):
     for e, d in a.terms:
         expected[e + k] = expected.get(e + k, 0) + c * d
     expected_terms = tuple(sorted((e, d) for e, d in expected.items() if d))
-    monomial = LaurentPoly.t_power(k, c)
+    monomial = LaurentPoly(((k, c),))
     assert (monomial * a).terms == expected_terms
     assert (a * monomial).terms == expected_terms
 
@@ -302,3 +302,63 @@ def test_format_decimal_matches_fraction_round(a, b, places, k, m):
     # an exact tie halfway between two neighbours at `places` digits
     tie = ((2 * k + 1) * m, 2 * 10**places * m)
     assert format_quotient(*tie, places) == _reference_decimal(Fraction(*tie), places)
+
+
+def _reference_poly_str(p: Poly) -> str:
+    # Poly.__str__ as it was before printing read the integer form: the
+    # dense formatter run on the Fraction coefficients
+    cs = p.coeffs
+    parts = []
+    step = 1 if any(cs[1::2]) else 2
+    rev = cs[::-step]
+    for e, c in zip(range(len(cs) - 1, -1, -step), rev):
+        if not c:
+            continue
+        if c == 1 and e != 0 and e != 1:
+            parts.append(f" + n^{e}")
+        elif c == -1 and e != 0 and e != 1:
+            parts.append(f" - n^{e}")
+        else:
+            a = abs(c)
+            if e == 0:
+                term = str(a)
+            elif a == 1:
+                term = "n"
+            else:
+                term = f"{a}*n" if e == 1 else f"{a}*n^{e}"
+            parts.append(f" - {term}" if c < 0 else f" + {term}")
+    text = "".join(parts)
+    if not text:
+        return "0"
+    return text[3:] if text[1] == "+" else f"-{text[3:]}"
+
+
+# zero, +-1, small fractions, and numerators up to 10^60 over denominators
+# up to 10^20
+printed_coefficients = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+    coefficients,
+    st.builds(
+        Fraction,
+        st.integers(min_value=-10**60, max_value=10**60),
+        st.integers(min_value=1, max_value=10**20),
+    ),
+)
+printed_polys = st.one_of(
+    st.builds(Poly.const, printed_coefficients),
+    st.lists(printed_coefficients, max_size=9).map(lambda cs: Poly(tuple(cs))),
+    # polynomials in n^2, which the formatter walks with step 2
+    st.lists(printed_coefficients, max_size=5).map(
+        lambda cs: Poly(tuple(x for c in cs for x in (c, 0)))
+    ),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(printed_polys)
+def test_poly_prints_as_the_fraction_formatter(p):
+    assert str(p) == _reference_poly_str(p)
+    assert repr(p) == f"Poly[{_reference_poly_str(p)}]"
+    # the ^ size estimate reads these pairs in place of the Fractions
+    assert p.coefficient_pairs() == [(c.numerator, c.denominator) for c in p.coeffs]
+

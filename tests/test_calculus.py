@@ -16,12 +16,16 @@ from fourgeo.calculus import (
     euler_of_union,
     fiber_sum,
     genus_from_euler,
-    make_manifold,
     resolve_surfaces,
     riemann_hurwitz,
     surface_blowup,
 )
 from fourgeo.pipeline import branch_preset
+
+
+def make_manifold(e, sigma) -> ManifoldRecord:
+    # a record with the given (e, sigma) and every flag unknown
+    return ManifoldRecord(e, sigma)
 
 
 half = Fraction(1, 2)

@@ -10,16 +10,22 @@ from hypothesis import strategies as st
 from fourgeo.algebra import Poly, integer_valued, scalar_eval
 from fourgeo.calculus import (
     BranchData,
+    ManifoldRecord,
     MarkedSurface,
     blow_up,
     branched_cover,
     euler_of_union,
     fiber_sum,
     genus_from_euler,
-    make_manifold,
     resolve_surfaces,
     riemann_hurwitz,
 )
+
+
+def make_manifold(e, sigma) -> ManifoldRecord:
+    # a record with the given (e, sigma) and every flag unknown
+    return ManifoldRecord(e, sigma)
+
 
 SAMPLE = range(2, 11)
 

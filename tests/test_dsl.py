@@ -244,6 +244,21 @@ def test_constant_exponent_is_accepted_in_both_modes():
     assert evaluate(parse("report n^(n-n)\n")) == 1
 
 
+def test_power_size_estimate_reads_coefficients_in_lowest_terms():
+    # The constant term 2^k/3, stored over the common denominator 6, has
+    # k + 1 bits in lowest terms (k + 2 over 6), so squaring the base is
+    # estimated at 2k + 2 bits: k = 32767 is at the cap, k = 32768 is above.
+    at_cap = N / 2 + Fraction(2**32767, 3)
+    assert evaluate(parse("report (n/2 + 2^32767/3)^2\n")) == at_cap**2
+    too_large = "power too large: about {} bits, above 65536"
+    assert _outcome("report (n/2 + 2^32768/3)^2\n") == ("eval", 1, 25, too_large.format(65538))
+    # at n = 3 the base is the number (2^(k+1) + 9)/6: k = 32766 is at the
+    # cap, k = 32767 is above
+    at_cap = Fraction(3, 2) + Fraction(2**32766, 3)
+    assert evaluate(parse("report (n/2 + 2^32766/3)^2\n"), 3) == at_cap**2
+    assert _outcome("report (n/2 + 2^32767/3)^2\n", 3) == ("eval", 1, 25, too_large.format(65538))
+
+
 def test_division_is_exact():
     assert evaluate(parse("report (n^2 - 1)/(n - 1)\n")) == N + 1
     with pytest.raises(ScriptError, match="not exactly divisible"):

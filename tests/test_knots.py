@@ -186,7 +186,7 @@ def test_knot_surgery_preserves_numbers():
 
 def test_knot_surgery_nonfibered_kills_symplectic():
     after = knot_surgery(k3_elliptic(), twist_knot(2))
-    assert after.symplectic.is_false()
+    assert after.symplectic.value is False
 
 
 def test_knot_surgery_requirements():

@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from fourgeo import pipeline
 from fourgeo.algebra import N, LaurentPoly, integer_valued, scalar_eval, scalar_str
 from fourgeo.calculus import bmy_report
+from fourgeo.cli import main
 from fourgeo.knots import distinguish_family, unknot
 from fourgeo.pipeline import (
     build_cover_block,
@@ -194,6 +196,62 @@ def test_verify_formulas_builds_each_stage_once(monkeypatch):
     assert all(c.passed for c in verify_formulas(n_max=12))
     assert set(built) == {(stage, n) for stage in stages for n in (None, *range(2, 13))}
     assert set(built.values()) == {1}
+
+
+def test_numeric_build_formats_no_check_until_read(monkeypatch):
+    made = []
+    real = pipeline.CheckResult
+    monkeypatch.setattr(
+        pipeline, "CheckResult", lambda *fields: made.append(fields) or real(*fields)
+    )
+    report = build_family(7)
+    assert made == []
+    for stage in (report, report.cover, report.k3):
+        assert "checks" not in stage.__dict__
+    checks = report.checks
+    assert [c.name for c in checks] == [
+        "glued family: c2", "glued family: c1^2", "glued family: chi_h",
+        "glued family: sigma", "fiber sum consistency: c1^2 gain is 8(g-1)",
+    ]
+    assert len(made) == 5 and all(c.passed for c in checks)
+    assert report.checks is checks
+    assert checks[0] == real("glued family: c2", "998495", "998495", True)
+
+
+def test_verify_formulas_formats_no_numeric_stage_check(monkeypatch):
+    reports = {}
+
+    def keeping(n=None, build=pipeline.build_family):
+        reports[n] = build(n)
+        return reports[n]
+
+    monkeypatch.setattr(pipeline, "build_family", keeping)
+    assert all(c.passed for c in verify_formulas(n_max=6))
+    assert set(reports) == {None, 2, 3, 4, 5, 6}
+    for n, report in reports.items():
+        formatted = ["checks" in r.__dict__ for r in (report, report.cover, report.k3)]
+        assert formatted == [n is None] * 3
+
+
+def test_stage_drift_raises_at_build_time_with_the_formatted_check(monkeypatch, capsys):
+    targets = pipeline.family_targets
+    monkeypatch.setattr(
+        pipeline, "family_targets", lambda v: {**targets(v), "c2": targets(v)["c2"] + 1}
+    )
+    with pytest.raises(RuntimeError) as err:
+        build_family(3)
+    assert str(err.value) == "construction drift: glued family: c2: expected 4316, got 4315"
+    got = (
+        "RuntimeError: construction drift: glued family: c2: expected "
+        "n^7 + 12*n^5 - 12*n^4 + 6*n^3 + 23, got n^7 + 12*n^5 - 12*n^4 + 6*n^3 + 22"
+    )
+    (failed,) = verify_formulas(n_max=4)
+    assert failed == pipeline.CheckResult("glued family build", "no error", got, False)
+    assert main(["verify-paper", "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == [
+        {"name": "glued family build", "expected": "no error", "got": got, "pass": False,
+         "note": ""}
+    ]
 
 
 def test_claims_about_every_n_do_not_depend_on_n_max():

@@ -14,7 +14,7 @@ from fourgeo.blocks import k3_elliptic
 from fourgeo.calculus import Declared, MarkedSurface, bmy_report, declared_true
 from fourgeo.knots import SWLedger, torus_knot
 from fourgeo.pipeline import branch_preset, build_cover_block, exotic_family
-from fourgeo.record import Record, replace
+from fourgeo.record import Record, cached, replace
 from fourgeo.script import Let, Node, Report, parse
 
 
@@ -78,6 +78,62 @@ def test_equal_fields_give_equal_records_and_hashes(record):
     assert copy == record and not copy != record
     assert hash(copy) == hash(record)
     assert len({record, copy}) == 1
+
+
+def _cached_attributes(record: Record) -> list[tuple[str, cached]]:
+    return [
+        (name, attr)
+        for cls in type(record).__mro__
+        for name, attr in vars(cls).items()
+        if isinstance(attr, cached)
+    ]
+
+
+def test_every_cached_attribute_is_sampled():
+    names = {name for r in SAMPLES for name, _ in _cached_attributes(r)}
+    assert names == {"newton_table", "c1sq", "chi_h", "alexander", "monic", "checks"}
+
+
+@pytest.mark.parametrize("record", SAMPLES, ids=IDS)
+def test_cached_attributes_are_computed_once_per_instance(record, monkeypatch):
+    for name, attr in _cached_attributes(record):
+        expected = getattr(record, name)
+        calls = []
+
+        def counting(r, calls=calls, compute=attr.fn):
+            calls.append(r)
+            return compute(r)
+
+        monkeypatch.setattr(attr, "fn", counting)
+        fresh = replace(record)
+        assert name not in fresh.__dict__ or calls == [fresh]  # read by __post_init__
+        first = getattr(fresh, name)
+        assert getattr(fresh, name) is first
+        assert len(calls) == 1 and calls[0] is fresh
+        assert first == expected
+        with pytest.raises(AttributeError):
+            setattr(fresh, name, first)
+        with pytest.raises(AttributeError):
+            delattr(fresh, name)
+        assert getattr(fresh, name) is first
+
+
+def test_replace_never_carries_a_cached_attribute():
+    m = build_cover_block(3).manifold
+    chi_h, c1sq = m.chi_h, m.c1sq
+    bigger = replace(m, e=m.e + 4)
+    assert bigger.chi_h == chi_h + 1
+    assert bigger.c1sq == c1sq + 8
+    p = N**2 + 1
+    assert p.newton_table == ((5, 5, 2), 1)
+    q = replace(p, coeffs=(0, 0, 0, 1))
+    assert q.newton_table == ((8, 19, 18, 6), 1)
+    assert p.newton_table == ((5, 5, 2), 1)
+    cover = build_cover_block(2)
+    assert cover.checks[0].got == "128"
+    smaller = replace(cover, compared=cover.compared[1:])
+    assert len(smaller.checks) == len(cover.checks) - 1
+    assert smaller.checks == cover.checks[1:]
 
 
 def test_records_of_different_classes_are_unequal():
