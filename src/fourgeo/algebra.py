@@ -477,6 +477,14 @@ def _root_ceiling(num: int, den: int, k: int) -> int:
     return hi
 
 
+def nonzero(p: Poly) -> bool:
+    """True iff p(n) != 0 for every integer n >= 2, decided exactly: the
+    integer numerators P of p take integer values, so P(n) != 0 iff
+    P(n)^2 >= 1."""
+    whole = Poly._reduced(list(p._nums), 1)
+    return at_least(whole * whole, 1)
+
+
 def _squarefree(p: Poly) -> Poly:
     # the primitive part of p / gcd(p, p'), by Euclid's algorithm over the
     # rationals; making each remainder primitive keeps the numbers small

@@ -46,7 +46,7 @@ import re
 from collections.abc import Callable
 
 from . import blocks
-from .algebra import Poly, Scalar, as_scalar, divide_exact
+from .algebra import Poly, Scalar, as_scalar, divide_exact, nonzero
 from .calculus import (
     BranchData,
     ManifoldRecord,
@@ -422,6 +422,10 @@ def _binary(op: str, left, right):
     if op == "*":
         return as_scalar(left * right)
     if op == "/":
+        # a symbolic quotient stands for every n >= 2, so its divisor must
+        # vanish at none of them, as the numeric build at each n requires
+        if isinstance(right, Poly) and right.degree > 0 and not nonzero(right):
+            raise ValueError(f"division by zero: ({right}) is 0 at some n >= 2")
         return divide_exact(left, right)
     exponent = as_scalar(right)
     if isinstance(exponent, Poly) and exponent.degree <= 0:

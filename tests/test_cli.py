@@ -6,13 +6,16 @@ from pathlib import Path
 
 import pytest
 
-from fourgeo import pipeline
+from fourgeo import cli, pipeline
 from fourgeo.algebra import N
 from fourgeo.cli import main
 from fourgeo.record import replace
 
 REPO = Path(__file__).resolve().parent.parent
 KN_SCRIPT = str(REPO / "scripts" / "kn.geo")
+# a fresh interpreter that imports this checkout's fourgeo
+FRESH_ENV = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+FRESH_CLI = [sys.executable, "-m", "fourgeo.cli"]
 
 
 # build, exotic and geography reject n = 1 with this one line
@@ -384,7 +387,102 @@ def test_cli_imports_every_layer_but_not_json(tmp_path):
     # itself, so this runs in a fresh interpreter without site packages
     argv = [sys.executable, "-S", "-c", _IMPORT_PROBE, *_TRACED_LAYERS,
             str(tmp_path / "scan.csv"), str(tmp_path / "scan.svg")]
-    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
-    result = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    result = subprocess.run(argv, env=FRESH_ENV, capture_output=True, text=True, timeout=60)
     assert result.stderr == ""
     assert result.stdout.splitlines() == ["False", " ".join(_TRACED_LAYERS), "0 False"]
+
+
+# -- the process entry point: fourgeo.cli.run ---------------------------------
+
+
+def test_exotic_at_scale_in_a_fresh_process_gives_the_in_process_bytes(capsys, fresh):
+    argv = ["exotic", "--n", "3", "--count", "1000"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    code, out, err = fresh(*argv)
+    assert (code, err) == (0, "")
+    assert out == captured.out.encode("utf-8")  # many buffer flushes
+    assert out.count(b"\n") == 2004
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["exotic", "--n", "3", "--count", "4"], 0),
+    (["build", "{script}"], 1),  # a located evaluation error
+    (["exotic", "--n", "1", "--count", "4"], 2),  # a library ValueError
+    (["geography", "--n-min", "2"], 2),  # argparse: --n-max missing
+])
+def test_a_fresh_process_exits_as_main_returns(capsys, fresh, tmp_path, argv, want):
+    script = tmp_path / "rh.geo"
+    script.write_text("report riemann_hurwitz(0, 1, 3, 0)\n")
+    argv = [arg.format(script=script) for arg in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exit_info:  # argparse ends usage errors itself
+        code = exit_info.code
+    captured = capsys.readouterr()
+    assert code == want
+    assert fresh(*argv) == (want, captured.out.encode("utf-8"), captured.err)
+
+
+def test_closed_stdout_exits_0_silently():
+    # with fd 1 closed, sys.stdout is None and print writes nothing
+    command = 'exec "$0" -m fourgeo.cli exotic --n 3 --count 25 >&-'
+    result = subprocess.run(["bash", "-c", command, sys.executable], env=FRESH_ENV,
+                            capture_output=True, timeout=120)
+    assert (result.returncode, result.stderr) == (0, b"")
+
+
+@pytest.mark.parametrize("count, read_first_line", [(1000, True), (5, False)])
+def test_a_reader_that_closes_the_pipe_ends_the_command_quietly(count, read_first_line):
+    proc = subprocess.Popen([*FRESH_CLI, "exotic", "--n", "3", "--count", str(count)],
+                            env=FRESH_ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    if read_first_line:
+        assert proc.stdout.readline().startswith(b"base manifold (n = 3)")
+    proc.stdout.close()  # every later write of the command meets a closed pipe
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (1, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["exotic", "--n", "3", "--count", "25"],  # fails inside the command
+    ["build", KN_SCRIPT, "--symbolic"],  # fits the buffer: fails at the final flush
+])
+def test_a_full_stdout_is_an_error_exit_2(argv):
+    with open("/dev/full", "wb") as full:
+        result = subprocess.run([*FRESH_CLI, *argv], env=FRESH_ENV, stdout=full,
+                                stderr=subprocess.PIPE, timeout=120)
+    assert result.returncode == 2
+    assert result.stderr == b"error: [Errno 28] No space left on device\n"
+
+
+class _Exited(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failure, code, err", [
+    (None, 2, _DEGENERATE),
+    (BrokenPipeError(32, "Broken pipe"), 1, ""),
+    (OSError(28, "No space left on device"), 2, "error: [Errno 28] No space left on device\n"),
+])
+def test_run_ends_the_process_with_the_code(capsys, monkeypatch, failure, code, err):
+    def hard_exit(status):
+        raise _Exited(status)
+
+    def failing_main():
+        raise failure
+
+    monkeypatch.setattr(sys, "argv", ["fourgeo", "exotic", "--n", "1", "--count", "4"])
+    monkeypatch.setattr(os, "_exit", hard_exit)
+    if failure is not None:
+        monkeypatch.setattr(cli, "main", failing_main)
+    with pytest.raises(_Exited) as exit_info:
+        cli.run()
+    assert exit_info.value.args == (code,)
+    assert capsys.readouterr().err == err
+
+
+def test_console_script_names_run():
+    pyproject = (REPO / "pyproject.toml").read_text(encoding="utf-8")
+    assert '\nfourgeo = "fourgeo.cli:run"\n' in pyproject

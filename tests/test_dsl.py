@@ -265,6 +265,23 @@ def test_division_is_exact():
         evaluate(parse("report (n^2 + 1)/n\n"))
 
 
+@pytest.mark.parametrize("divisor", [
+    "n - 1", "n - 2", "n - 3", "2*n - 5", "n^2 - 2", "n^2 + 1", "(n - 2)*(n - 4)", "n^2/2 - 2",
+    "(n - 4)*(n + 1)", "n^3 - 27", "(n - 1)*(2*n - 7)", "n - 1/2",
+])
+def test_a_symbolic_quotient_stands_exactly_when_every_numeric_one_does(divisor):
+    # D*(n + 1)/D is n + 1 wherever D(n) != 0; the symbolic build must
+    # accept it iff the numeric builds at n = 2..6 do (D has no root above 6)
+    text = f"let D = {divisor}\nreport D*(n + 1)/D\n"
+    numeric = [_outcome(text, n) for n in range(2, 7)]
+    if all(outcome == ("value", str(n + 1)) for n, outcome in zip(range(2, 7), numeric)):
+        assert _outcome(text) == ("value", "n + 1")
+    else:
+        assert ("eval", 2, 17, "division by zero") in numeric
+        assert _outcome(text)[:3] == ("eval", 2, 17)
+        assert _outcome(text)[3].startswith("division by zero: (")
+
+
 def test_precedence_and_associativity_evaluate_exactly():
     for text, expected in (
         ("report 1 + 2*3 - 4/5\n", Fraction(31, 5)),
@@ -378,6 +395,10 @@ SCRIPT_ERRORS = [
     ("report (n^2 + 1)/n\n", "eval", 1, 17, "(n^2 + 1) is not exactly divisible by (n)"),
     ("report 1/0\n", "eval", 1, 9, "division by zero"),
     ("report 3/(n-n)\n", "eval", 1, 9, "polynomial division by zero"),
+    ("report (n-2)/(n-2)\n", "eval", 1, 13, "division by zero: (n - 2) is 0 at some n >= 2"),
+    ("report (n^2-4)/(n-2)\n", "eval", 1, 15, "division by zero: (n - 2) is 0 at some n >= 2"),
+    ("let D = (n-2)*(n-3)\nreport blowup(T4, k=D*n/D)\n", "eval", 2, 24,
+     "division by zero: (n^2 - 5*n + 6) is 0 at some n >= 2"),
     ("report logarithmic_transform(T4)\n", "eval", 1, 8,
      "unknown operation 'logarithmic_transform'"),
     ("report nope(Missing)\n", "eval", 1, 8, "unknown operation 'nope'"),

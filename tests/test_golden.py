@@ -1,7 +1,8 @@
 """Byte-for-byte CLI outputs, captured before the Seiberg-Witten ledger was
 kept in factored form (verify-paper, exotic, build) and before geography
 scans evaluated the symbolic family instead of building each member; any
-change to them is a regression."""
+change to them is a regression.  Each command runs in process through
+main() and in a fresh interpreter through the process entry point."""
 
 from pathlib import Path
 
@@ -24,9 +25,11 @@ K3_BLOCK = str(GOLDEN / "k3_block.geo")
         (["build", K3_BLOCK, "--symbolic"], "k3_block_symbolic.txt"),
     ],
 )
-def test_cli_output_is_byte_identical(capsys, argv, expected):
+def test_cli_output_is_byte_identical(capsys, fresh, argv, expected):
+    golden = (GOLDEN / expected).read_bytes()
     assert main(argv) == 0
-    assert capsys.readouterr().out == (GOLDEN / expected).read_text(encoding="utf-8")
+    assert capsys.readouterr().out.encode("utf-8") == golden
+    assert fresh(*argv) == (0, golden, "")
 
 
 @pytest.mark.parametrize(
@@ -36,16 +39,27 @@ def test_cli_output_is_byte_identical(capsys, argv, expected):
         ("999999999800", "1000000000000", "geography_1e12"),
     ],
 )
-def test_geography_output_is_byte_identical(capsys, tmp_path, n_min, n_max, stem):
+def test_geography_output_is_byte_identical(capsys, fresh, tmp_path, n_min, n_max, stem):
+    golden_csv = (GOLDEN / f"{stem}.csv").read_bytes()
+    golden_svg = (GOLDEN / f"{stem}.svg").read_bytes()
     svg = tmp_path / "scan.svg"
-    assert main(["geography", "--n-min", n_min, "--n-max", n_max, "--svg", str(svg)]) == 0
-    assert capsys.readouterr().out == (GOLDEN / f"{stem}.csv").read_text(encoding="utf-8")
-    assert svg.read_bytes() == (GOLDEN / f"{stem}.svg").read_bytes()
-    # the CSV written with --csv, as the benchmark writes it
     csv = tmp_path / "scan.csv"
+    to_stdout = ["geography", "--n-min", n_min, "--n-max", n_max, "--svg", str(svg)]
+    # the CSV written with --csv, as the benchmark writes it
+    to_file = ["geography", "--n-min", n_min, "--n-max", n_max, "--csv", str(csv), "--svg", str(svg)]
+    assert main(to_stdout) == 0
+    assert capsys.readouterr().out.encode("utf-8") == golden_csv
+    assert svg.read_bytes() == golden_svg
     svg.unlink()
-    argv = ["geography", "--n-min", n_min, "--n-max", n_max, "--csv", str(csv), "--svg", str(svg)]
-    assert main(argv) == 0
+    assert main(to_file) == 0
     assert capsys.readouterr().out == ""
-    assert csv.read_bytes() == (GOLDEN / f"{stem}.csv").read_bytes()
-    assert svg.read_bytes() == (GOLDEN / f"{stem}.svg").read_bytes()
+    assert csv.read_bytes() == golden_csv
+    assert svg.read_bytes() == golden_svg
+    csv.unlink()
+    svg.unlink()
+    assert fresh(*to_stdout) == (0, golden_csv, "")
+    assert svg.read_bytes() == golden_svg
+    svg.unlink()
+    assert fresh(*to_file) == (0, b"", "")
+    assert csv.read_bytes() == golden_csv
+    assert svg.read_bytes() == golden_svg
