@@ -15,9 +15,9 @@ to standard output.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 from typing import NoReturn
 
 from . import geography
@@ -76,13 +76,7 @@ def _cmd_build(args) -> int:
 def _cmd_verify(args) -> int:
     checks = verify_formulas(n_max=args.n_max)
     if args.json:
-        import json  # only here, so other commands do not pay for its import
-
-        payload = [
-            {"name": c.name, "expected": c.expected, "got": c.got, "pass": c.passed, "note": c.note}
-            for c in checks
-        ]
-        print(json.dumps(payload, indent=2))
+        print(_json_report(checks))
     else:
         for c in checks:
             status = "PASS" if c.passed else "FAIL"
@@ -108,7 +102,7 @@ def _cmd_geography(args) -> int:
             with open(args.csv, "w", encoding="utf-8", newline="") as fh:
                 fh.write(csv_text)
         else:
-            sys.stdout.write(csv_text)
+            print(csv_text, end="")  # skipped, as every print is, when stdout is None
         if args.svg:
             with open(args.svg, "w", encoding="utf-8", newline="") as fh:
                 fh.write(geography.render_svg(rows))
@@ -143,43 +137,130 @@ def _cmd_exotic(args) -> int:
     return 1
 
 
-def make_parser() -> argparse.ArgumentParser:
+# json.dumps's escapes (ensure_ascii=True) of the ASCII characters it escapes
+_JSON_ESCAPES = {code: f"\\u{code:04x}" for code in (*range(0x20), 0x7F)}
+_JSON_ESCAPES.update({ord(c): "\\" + e for c, e in zip('"\\\n\r\t\b\f', '"\\nrtbf')})
+
+
+def _json_u(code: int) -> str:
+    if code > 0xFFFF:  # a surrogate pair
+        return _json_u(0xD800 | (code - 0x10000) >> 10) + _json_u(0xDC00 | code & 0x3FF)
+    return f"\\u{code:04x}"
+
+
+def _json_str(text: str) -> str:
+    # as json.dumps(text) writes it: every non-ASCII character as \uXXXX
+    text = text.translate(_JSON_ESCAPES)
+    if not text.isascii():
+        text = "".join(ch if ch.isascii() else _json_u(ord(ch)) for ch in text)
+    return f'"{text}"'
+
+
+def _json_report(checks) -> str:
+    """The checks as json.dumps(..., indent=2) writes the list of their
+    {name, expected, got, pass, note} objects; written here because
+    importing json costs more than this whole report."""
+    entries = [
+        f'  {{\n    "name": {_json_str(c.name)},\n    "expected": {_json_str(c.expected)},\n'
+        f'    "got": {_json_str(c.got)},\n    "pass": {"true" if c.passed else "false"},\n'
+        f'    "note": {_json_str(c.note)}\n  }}'
+        for c in checks
+    ]
+    return "[\n" + ",\n".join(entries) + "\n]" if entries else "[]"
+
+
+# The command-line grammar, stated once: make_parser builds argparse from it
+# and _parse_plain reads well-formed argv against it.  Per command: its help,
+# handler, positional (name, help) or None, the options that exclude each
+# other, and each option as (flag, dest, kind, required, default, help),
+# where kind is int, str or bool (a store_true flag).
+_GRAMMAR = {
+    "build": ("run a .geo construction script", _cmd_build, ("script", "path to the script"),
+              ("--n", "--symbolic"), (
+        ("--n", "n", int, False, None, "numeric mode at this parameter value"),
+        ("--symbolic", "symbolic", bool, False, False,
+         "symbolic mode (default): invariants as polynomials in n"),
+    )),
+    "verify-paper": ("re-derive and check every closed-form result", _cmd_verify, None, (), (
+        ("--json", "json", bool, False, False, "machine-readable report"),
+        ("--n-max", "n_max", int, False, 50,
+         "top of the numeric cross-check range (default 50); "
+         "the claims about every n are decided exactly"),
+    )),
+    "geography": ("scan the family into CSV/SVG", _cmd_geography, None, (), (
+        ("--n-min", "n_min", int, True, None, None),
+        ("--n-max", "n_max", int, True, None, None),
+        ("--csv", "csv", str, False, None, "write CSV here (default: stdout)"),
+        ("--svg", "svg", str, False, None, "write an SVG scatter of (chi_h, c1^2) here"),
+    )),
+    "exotic": ("pairwise-distinct smooth structures via knot surgery", _cmd_exotic, None, (), (
+        ("--n", "n", int, True, None, None),
+        ("--count", "count", int, True, None, "torus knots and twist knots to apply, each"),
+    )),
+}
+
+
+def make_parser():
+    """The argparse.ArgumentParser of _GRAMMAR: it parses every command line
+    that _parse_plain leaves alone, and writes all help and usage errors."""
+    import argparse  # only here: a well-formed command line never needs it
+
     parser = argparse.ArgumentParser(
         prog="fourgeo",
         description="Exact surgery calculus for 4-manifold geography.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_build = sub.add_parser("build", help="run a .geo construction script")
-    p_build.add_argument("script", help="path to the script")
-    mode = p_build.add_mutually_exclusive_group()
-    mode.add_argument("--n", type=int, help="numeric mode at this parameter value")
-    mode.add_argument("--symbolic", action="store_true",
-                      help="symbolic mode (default): invariants as polynomials in n")
-    p_build.set_defaults(fn=_cmd_build)
-
-    p_verify = sub.add_parser("verify-paper",
-                              help="re-derive and check every closed-form result")
-    p_verify.add_argument("--json", action="store_true", help="machine-readable report")
-    p_verify.add_argument("--n-max", type=int, default=50,
-                          help="top of the numeric cross-check range (default 50); "
-                               "the claims about every n are decided exactly")
-    p_verify.set_defaults(fn=_cmd_verify)
-
-    p_geo = sub.add_parser("geography", help="scan the family into CSV/SVG")
-    p_geo.add_argument("--n-min", type=int, required=True)
-    p_geo.add_argument("--n-max", type=int, required=True)
-    p_geo.add_argument("--csv", help="write CSV here (default: stdout)")
-    p_geo.add_argument("--svg", help="write an SVG scatter of (chi_h, c1^2) here")
-    p_geo.set_defaults(fn=_cmd_geography)
-
-    p_exotic = sub.add_parser("exotic", help="pairwise-distinct smooth structures "
-                                             "via knot surgery")
-    p_exotic.add_argument("--n", type=int, required=True)
-    p_exotic.add_argument("--count", type=int, required=True,
-                          help="torus knots and twist knots to apply, each")
-    p_exotic.set_defaults(fn=_cmd_exotic)
+    for command, (help_text, fn, positional, exclusive, options) in _GRAMMAR.items():
+        p_command = sub.add_parser(command, help=help_text)
+        if positional:
+            p_command.add_argument(positional[0], help=positional[1])
+        group = p_command.add_mutually_exclusive_group() if exclusive else None
+        for flag, dest, kind, required, default, help_text in options:
+            kwargs = {"action": "store_true"} if kind is bool else {"type": kind}
+            (group if flag in exclusive else p_command).add_argument(
+                flag, dest=dest, required=required, default=default, help=help_text, **kwargs)
+        p_command.set_defaults(fn=fn)
     return parser
+
+
+def _parse_plain(argv):
+    """The namespace make_parser().parse_args(argv) gives, for an argv that
+    spells every option in full, at most once, with a value that does not
+    start with '-' and passes its type.  Anything else -- help, an
+    abbreviation, --opt=value, --, a repeat, a missing or extra argument,
+    both options of an exclusive pair -- returns None and is left to
+    argparse."""
+    if not argv or argv[0] not in _GRAMMAR:
+        return None
+    _, fn, positional, exclusive, options = _GRAMMAR[argv[0]]
+    kinds = {flag: kind for flag, _, kind, *_ in options}
+    given, positionals = {}, []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+        elif token not in kinds or token in given:
+            return None
+        elif kinds[token] is bool:
+            given[token] = True
+        else:
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                return None
+            try:
+                given[token] = kinds[token](value)
+            except ValueError:
+                return None
+    if len(positionals) != (positional is not None) or len(given.keys() & exclusive) > 1:
+        return None
+    args = {"command": argv[0], "fn": fn}
+    if positional:
+        args[positional[0]] = positionals[0]
+    for flag, dest, _, required, default, _ in options:
+        if required and flag not in given:
+            return None
+        args[dest] = given.get(flag, default)
+    return SimpleNamespace(**args)
 
 
 def main(argv=None) -> int:
@@ -187,8 +268,8 @@ def main(argv=None) -> int:
     # interpreters before 3.10.7 lack); scripts bound each power instead.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_plain(argv) or make_parser().parse_args(argv)
     try:
         return args.fn(args)
     except ValueError as err:  # the library rejected an argument before any work

@@ -5,10 +5,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fourgeo import cli, pipeline
 from fourgeo.algebra import N
 from fourgeo.cli import main
+from fourgeo.pipeline import CheckResult
 from fourgeo.record import replace
 
 REPO = Path(__file__).resolve().parent.parent
@@ -372,24 +375,128 @@ def test_exotic_at_benchmark_scale(capsys):
 _TRACED_LAYERS = ("script", "pipeline", "geography", "calculus", "knots", "algebra", "blocks")
 
 _IMPORT_PROBE = """
+import io
 import sys
 import fourgeo.cli
-print("json" in sys.modules)
-print(" ".join(layer for layer in sys.argv[1:-2] if "fourgeo." + layer in sys.modules))
-code = fourgeo.cli.main(["geography", "--n-min", "2", "--n-max", "9",
-                         "--csv", sys.argv[-2], "--svg", sys.argv[-1]])
-print(code, "json" in sys.modules)
+
+last, scan, golden, *layers = sys.argv[1:]
+
+
+def main(*argv):
+    # (exit code, stdout) of fourgeo.cli.main, with stdout held in memory
+    stdout, sys.stdout = sys.stdout, io.StringIO()
+    try:
+        code = fourgeo.cli.main(list(argv))
+    except SystemExit as exit_info:  # argparse ends help and usage errors itself
+        code = exit_info.code
+    sys.stdout, out = stdout, sys.stdout.getvalue()
+    return code, out
+
+
+print("json" in sys.modules, "argparse" in sys.modules)
+print(" ".join(layer for layer in layers if "fourgeo." + layer in sys.modules))
+code, _ = main("geography", "--n-min", "2", "--n-max", "9",
+               "--csv", scan + ".csv", "--svg", scan + ".svg")
+print(code, "json" in sys.modules, "argparse" in sys.modules)
+code, out = main("verify-paper", "--json")
+with open(golden, encoding="utf-8") as fh:
+    print(code, out == fh.read(), "json" in sys.modules, "argparse" in sys.modules)
+print(main(last)[0], "argparse" in sys.modules)
 """
 
 
 def test_cli_imports_every_layer_but_not_json(tmp_path):
-    # json is imported by verify-paper --json alone; pytest imports json
-    # itself, so this runs in a fresh interpreter without site packages
-    argv = [sys.executable, "-S", "-c", _IMPORT_PROBE, *_TRACED_LAYERS,
-            str(tmp_path / "scan.csv"), str(tmp_path / "scan.svg")]
-    result = subprocess.run(argv, env=FRESH_ENV, capture_output=True, text=True, timeout=60)
-    assert result.stderr == ""
-    assert result.stdout.splitlines() == ["False", " ".join(_TRACED_LAYERS), "0 False"]
+    # well-formed commands import neither argparse nor json, and
+    # verify-paper --json still writes the golden report; help and usage
+    # errors import argparse.  pytest imports both itself, so this runs in a
+    # fresh interpreter without site packages
+    golden = REPO / "tests" / "golden" / "verify_paper.json"
+    for last, code in (("--help", 0), ("exotic", 2)):
+        argv = [sys.executable, "-S", "-c", _IMPORT_PROBE, last, str(tmp_path / "scan"),
+                str(golden), *_TRACED_LAYERS]
+        result = subprocess.run(argv, env=FRESH_ENV, capture_output=True, text=True, timeout=60)
+        assert result.stdout.splitlines() == [
+            "False False", " ".join(_TRACED_LAYERS), "0 False False", "0 True False False",
+            f"{code} True"]
+        assert (result.stderr == "") == (code == 0)
+
+
+# -- the command-line grammar: _parse_plain against argparse --------------------
+
+_FLAGS = sorted({flag for *_, options in cli._GRAMMAR.values() for flag, *_ in options})
+# values that int() or a path takes, and values that only argparse may read
+_PLAIN = ["3", "25", " 8", "7_0", "\u0663", "x.geo", ""]
+_ODD = ["-3", "0x10", "--", "-h", "--n"]
+_WORDS = [*_FLAGS, *(flag[:k] for flag in _FLAGS for k in range(3, len(flag))),
+          "--n=3", "--count=25", "--help", *cli._GRAMMAR, *_PLAIN, *_ODD]
+
+
+@st.composite
+def _command_lines(draw):
+    # a command (or not), its positional and each of its options three times
+    # in four, in any order, and at times one more word of any kind
+    command = draw(st.sampled_from([*cli._GRAMMAR, "nosuch", "-h"]))
+    _, _, positional, _, options = cli._GRAMMAR.get(command, (None, None, None, (), ()))
+    value = st.sampled_from(["3", "25"]) | st.sampled_from(_PLAIN) | st.sampled_from(_ODD)
+    chunks = [[draw(value)]] if positional and draw(st.integers(0, 3)) else []
+    for flag, _, kind, *_ in options:
+        if draw(st.integers(0, 3)):
+            chunks.append([flag] if kind is bool else [flag, draw(value)])
+    chunks += [[word] for word in draw(st.lists(st.sampled_from(_WORDS), max_size=1))]
+    return [command, *(word for chunk in draw(st.permutations(chunks)) for word in chunk)]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_command_lines())
+def test_a_plain_parse_equals_argparse(argv):
+    args = cli._parse_plain(argv)
+    if args is not None:
+        assert vars(args) == vars(cli.make_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-paper", "--json"],
+    ["verify-paper", "--json", "--n-max", "4"],
+    ["geography", "--n-min", "8", "--n-max", "127", "--csv", "scan.csv", "--svg", "scan.svg"],
+    ["build", KN_SCRIPT, "--symbolic"],
+    ["build", KN_SCRIPT, "--n", "7"],
+    ["exotic", "--n", "3", "--count", "112"],
+])
+def test_the_benchmark_commands_take_the_plain_parse(argv):
+    args = cli._parse_plain(argv)
+    assert args is not None
+    assert vars(args) == vars(cli.make_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["nosuch"], ["exotic", "-h"], ["verify-paper", "--help"], ["exotic", "--n", "3"],
+    ["exotic", "--n", "3", "--cou", "25"], ["exotic", "--n=3", "--count", "25"],
+    ["exotic", "--n", "3", "--count", "25", "--count", "4"], ["build", KN_SCRIPT, "--n", "-3"],
+    ["exotic", "--n", "3", "--count", "0x10"], ["build", KN_SCRIPT, "--n", "3", "--symbolic"],
+    ["build"], ["build", "a.geo", "b.geo"], ["build", "--", KN_SCRIPT], ["verify-paper", "extra"],
+    ["geography", "--n-min", "2", "--n-max", "3", "--csv"],
+])
+def test_argparse_reads_every_other_command_line(argv):
+    assert cli._parse_plain(argv) is None
+
+
+# -- verify-paper --json without json --------------------------------------------
+
+_TEXT = st.text(st.one_of(st.characters(blacklist_categories=("Cs",)),
+                          st.sampled_from('"\\\x00\x1f\x7f\u00e9\u20ac\U0001f600')))
+_CHECKS = st.lists(st.builds(CheckResult, _TEXT, _TEXT, _TEXT, st.booleans(), _TEXT), max_size=4)
+_ESCAPED = '"\\\n\r\t\b\f\x00\x1f\x7f ~\u00e9\u20ac\U0001f600'
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CHECKS)
+@example([])
+@example([CheckResult(_ESCAPED, "", _ESCAPED[::-1], False, "\u00e9"),
+          CheckResult("n^7", "n^7", "n^7", True)])
+def test_the_json_report_equals_json_dumps(checks):
+    payload = [{"name": c.name, "expected": c.expected, "got": c.got, "pass": c.passed,
+                "note": c.note} for c in checks]
+    assert cli._json_report(checks) == json.dumps(payload, indent=2)
 
 
 # -- the process entry point: fourgeo.cli.run ---------------------------------
@@ -426,10 +533,11 @@ def test_a_fresh_process_exits_as_main_returns(capsys, fresh, tmp_path, argv, wa
 
 def test_closed_stdout_exits_0_silently():
     # with fd 1 closed, sys.stdout is None and print writes nothing
-    command = 'exec "$0" -m fourgeo.cli exotic --n 3 --count 25 >&-'
-    result = subprocess.run(["bash", "-c", command, sys.executable], env=FRESH_ENV,
-                            capture_output=True, timeout=120)
-    assert (result.returncode, result.stderr) == (0, b"")
+    for argv in ("exotic --n 3 --count 25", "geography --n-min 2 --n-max 5"):
+        command = f'exec "$0" -m fourgeo.cli {argv} >&-'
+        result = subprocess.run(["bash", "-c", command, sys.executable], env=FRESH_ENV,
+                                capture_output=True, timeout=120)
+        assert (argv, result.returncode, result.stderr) == (argv, 0, b"")
 
 
 @pytest.mark.parametrize("count, read_first_line", [(1000, True), (5, False)])
