@@ -33,27 +33,54 @@ would be a float.  Mixed arithmetic promotes a number to a constant
 polynomial; a degree-0 Poly compares (and hashes) equal to the number it
 denotes, so numeric and symbolic code paths can be shared.
 
+A Fraction is built only for a value that is not integral, or where a caller
+asks for one (Poly.coeffs, coefficient, leading_coefficient, constant_value
+and LaurentPoly evaluation).  The fractions module, which loads decimal and
+numbers, is imported when the first one is built, so a run whose numbers
+are all integral never imports it.  Until then no Fraction can exist, so
+the type tests read the class from sys.modules.
+
 All values are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+import sys
 from itertools import compress, zip_longest
-from typing import Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Mapping, Sequence, Union
 
 from .record import Record, cached
 
-Scalar = Union[int, Fraction, "Poly"]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Scalar = Union[int, "Fraction", "Poly"]
 
 
-def _to_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _is_number(x) -> bool:
+    # an int (not a bool) or a Fraction; a Fraction exists only once
+    # fractions is imported, so its class is read from sys.modules
+    if isinstance(x, int):
+        return not isinstance(x, bool)
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(x, fractions.Fraction)
+
+
+def _number(x):
+    # x, checked to be an int (not a bool) or a Fraction: either one has
+    # .numerator and .denominator in lowest terms, denominator > 0
+    if _is_number(x):
         return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
     raise TypeError(f"expected an integer or Fraction, got {x!r}")
+
+
+def _fraction(numerator: int, denominator: int = 1) -> Fraction:
+    # every Fraction the package builds is built here, importing fractions
+    # on first use
+    from fractions import Fraction
+
+    return Fraction(numerator, denominator)
 
 
 def _format_dense(low: int, cs: Sequence[int], symbol: str, den: int = 1) -> str:
@@ -98,7 +125,7 @@ class _Coefficients:
     def __get__(self, poly, owner=None):
         if poly is None:
             return ()
-        coeffs = tuple(Fraction(c, poly._den) for c in poly._nums)
+        coeffs = tuple(_fraction(c, poly._den) for c in poly._nums)
         poly.__dict__["coeffs"] = coeffs
         return coeffs
 
@@ -128,7 +155,7 @@ class Poly(Record):
     coeffs: tuple[Fraction, ...] = _Coefficients()
 
     def __post_init__(self):
-        cs = [_to_fraction(c) for c in self.__dict__.pop("coeffs")]
+        cs = [_number(c) for c in self.__dict__.pop("coeffs")]
         den = math.lcm(*(c.denominator for c in cs))
         self.__dict__["_nums"], self.__dict__["_den"] = _lowest_terms(
             [c.numerator * (den // c.denominator) for c in cs], den
@@ -146,7 +173,7 @@ class Poly(Record):
 
     @classmethod
     def const(cls, c) -> "Poly":
-        c = _to_fraction(c)
+        c = _number(c)
         return cls._reduced([c.numerator], c.denominator)
 
     @classmethod
@@ -157,7 +184,7 @@ class Poly(Record):
     def monomial(cls, power: int, c=1) -> "Poly":
         if power < 0:
             raise ValueError("monomial power must be nonnegative")
-        c = _to_fraction(c)
+        c = _number(c)
         return cls._reduced([0] * power + [c.numerator], c.denominator)
 
     # -- structure ---------------------------------------------------------
@@ -192,8 +219,8 @@ class Poly(Record):
 
     def coefficient(self, power: int) -> Fraction:
         if 0 <= power < len(self._nums):
-            return Fraction(self._nums[power], self._den)
-        return Fraction(0)
+            return _fraction(self._nums[power], self._den)
+        return _fraction(0)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -201,7 +228,7 @@ class Poly(Record):
     def _coerce(other) -> "Poly | None":
         if isinstance(other, Poly):
             return other
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+        if _is_number(other):
             return Poly._reduced([other.numerator], other.denominator)
         return None
 
@@ -253,7 +280,7 @@ class Poly(Record):
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"polynomial power must be a nonnegative integer, got {exponent!r}")
-        result = Poly.const(1)
+        result = Poly._reduced([1], 1)
         base = self
         e = exponent
         while e:
@@ -266,7 +293,7 @@ class Poly(Record):
 
     def __truediv__(self, other):
         # Division by a nonzero constant only; use divide_exact for polynomials.
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+        if _is_number(other):
             if not other:
                 raise ZeroDivisionError("division by zero")
             num, den = other.numerator, other.denominator
@@ -281,11 +308,16 @@ class Poly(Record):
             return NotImplemented
         if o.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        # each step's quotient term is r's leading coefficient over o's,
+        # r_lead / r_den * o_den / o_lead, with the sign of o_lead moved
+        # into the numerator's factor
+        lead, scale = o._nums[-1], o._den
+        if lead < 0:
+            lead, scale = -lead, -scale
         q = Poly()
         r = self
-        while not r.is_zero() and r.degree >= o.degree:
-            shift = r.degree - o.degree
-            t = Poly.monomial(shift, quotient(r.leading_coefficient, o.leading_coefficient))
+        while r._nums and r.degree >= o.degree:
+            t = Poly._reduced([0] * (r.degree - o.degree) + [r._nums[-1] * scale], r._den * lead)
             q = q + t
             r = r - t * o
         return q, r
@@ -316,7 +348,7 @@ class Poly(Record):
         nums = self._nums
         if type(x) is int:
             return quotient(_horner(nums, x), self._den)
-        x = _to_fraction(x)
+        x = _number(x)
         if not nums:
             return 0
         a, b = x.numerator, x.denominator
@@ -331,14 +363,21 @@ class Poly(Record):
     def __eq__(self, other):
         if isinstance(other, Poly):
             return self._nums == other._nums and self._den == other._den
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return len(self._nums) <= 1 and self.constant_value() == other
+        if _is_number(other):
+            # both sides in lowest terms over a positive denominator
+            nums = self._nums
+            return len(nums) <= 1 and (
+                (nums[0] if nums else 0) * other.denominator == other.numerator * self._den
+            )
         return NotImplemented
 
     def __hash__(self):
-        if len(self._nums) <= 1:
-            return hash(self.constant_value())
-        return hash((self._nums, self._den))
+        # a constant hashes as the number it equals
+        nums = self._nums
+        if len(nums) > 1:
+            return hash((nums, self._den))
+        c = nums[0] if nums else 0
+        return hash(c) if self._den == 1 else hash(_fraction(c, self._den))
 
     def __bool__(self):
         return bool(self._nums)
@@ -359,23 +398,25 @@ def as_scalar(x) -> Scalar:
     integral number becomes an int, any other rational stays a Fraction."""
     if type(x) is int or isinstance(x, Poly):
         return x
-    x = _to_fraction(x)
+    x = _number(x)
     return x.numerator if x.denominator == 1 else x
 
 
 def quotient(a: Scalar, b: Scalar) -> Scalar:
-    """a / b, exactly, for a nonzero number b: an int when b divides the int
-    a, else a Fraction, and a Poly when a is one.  Every division between
+    """a / b, exactly, for a nonzero number b: an int when it is integral,
+    else a Fraction, and a Poly when a is one.  Every division between
     scalars goes through here; use divide_exact for a polynomial divisor."""
     if isinstance(a, Poly):
         return a / b
     if not b:
         raise ZeroDivisionError("division by zero")
     if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        if not r:
-            return q
-    return as_scalar(Fraction(a, b))
+        num, den = a, b
+    else:
+        a, b = _number(a), _number(b)
+        num, den = a.numerator * b.denominator, a.denominator * b.numerator
+    q, r = divmod(num, den)
+    return _fraction(num, den) if r else q
 
 
 def scalar_eval(s: Scalar, n) -> Scalar:
@@ -673,11 +714,12 @@ class LaurentPoly(Record):
         return LaurentPoly._dense(2 * self._low, doubled)
 
     def __call__(self, x) -> Fraction:
-        """Exact evaluation at a nonzero rational point."""
-        x = _to_fraction(x)
+        """Exact evaluation at a nonzero rational point, as a Fraction."""
+        x = _number(x)
         if x == 0:
             raise ZeroDivisionError("Laurent polynomial evaluated at 0")
-        acc = Fraction(0)
+        x = _fraction(x.numerator, x.denominator)
+        acc = 0
         for c in reversed(self._cs):
             acc = acc * x + c
         return acc * x**self._low

@@ -25,7 +25,6 @@ textual justification supplied by whoever asserted them.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from .algebra import (
@@ -406,10 +405,24 @@ def fiber_sum(
 class BmyReport(Record):
     """Position of a record relative to the line c1^2 = 9*chi_h."""
 
-    ratio: Fraction  # c1^2/chi_h, or the limit of that ratio in symbolic mode
+    # c1^2/chi_h, or the limit of that ratio in symbolic mode, as the exact
+    # integer quotient ratio_num / ratio_den, not reduced, ratio_den > 0
+    ratio_num: int
+    ratio_den: int
     gap: Scalar  # 9*chi_h - c1^2
     side: str  # "below", "on" or "above"
     asymptotic: bool  # True when ratio/side describe the large-n limit
+
+    @cached
+    def ratio(self) -> Scalar:
+        """The ratio as a numeric scalar, an int when it is integral."""
+        return quotient(self.ratio_num, self.ratio_den)
+
+
+def _ratio_pair(a, b) -> tuple[int, int]:
+    # the ints (p, q), q > 0, with p / q = a / b for numbers a and b != 0
+    p, q = a.numerator * b.denominator, a.denominator * b.numerator
+    return (-p, -q) if q < 0 else (p, q)
 
 
 def bmy_report(record: ManifoldRecord) -> BmyReport:
@@ -432,14 +445,15 @@ def bmy_report(record: ManifoldRecord) -> BmyReport:
                 "no finite limit of c1^2/chi_h: "
                 f"deg c1^2 = {c1_p.degree} > deg chi_h = {chi_p.degree}"
             )
-        # 0 when c1^2 has the lower degree
-        ratio = Fraction(quotient(c1_p.coefficient(chi_p.degree), chi_p.leading_coefficient))
+        # the leading numerators over the denominators; 0 when c1^2 has the
+        # lower degree
+        c1_lead = c1_p._nums[-1] if c1_p.degree == chi_p.degree else 0
+        num, den = _ratio_pair(c1_lead * chi_p._den, c1_p._den * chi_p._nums[-1])
         gap_p = gap if isinstance(gap, Poly) else Poly.const(gap)
-        lead = gap_p.leading_coefficient
-        side = "on" if gap_p.is_zero() else ("below" if lead > 0 else "above")
-        return BmyReport(ratio, gap, side, True)
+        side = "on" if gap_p.is_zero() else ("below" if gap_p._nums[-1] > 0 else "above")
+        return BmyReport(num, den, gap, side, True)
     if chi == 0:
         raise ValueError("ratio undefined: chi_h = 0")
-    ratio = Fraction(quotient(c1, chi))
+    num, den = _ratio_pair(c1, chi)
     side = "on" if gap == 0 else ("below" if gap > 0 else "above")
-    return BmyReport(ratio, gap, side, False)
+    return BmyReport(num, den, gap, side, False)

@@ -4,20 +4,20 @@ A scan builds the family once, symbolically; that build runs every check a
 numeric build runs, exactly for all n >= 2.  Each row is the triple
 (n, record, bmy_report(record)), where record is (e(n), sigma(n)) of the
 symbolic family evaluated at n; the renderers read c1^2 and chi_h from the
-record and the ratio, gap and side from the report.
+record and the ratio's integer pair, gap and side from the report.
 
 Output is text assembled by hand so that identical inputs give byte-identical
 files: LF line endings, fixed column order, exact integers (or p/q) in every
-column except the 6-decimal ratio.  Each SVG coordinate is an integer
-numerator over its axis's integer denominator, rounded half to even once, to
-two places, by algebra.format_quotient; no Fraction is built per point.
+column except the 6-decimal ratio.  The ratio and each SVG coordinate are an
+integer numerator over an integer denominator, rounded half to even once by
+algebra.format_quotient; no Fraction is built per row or point.
 """
 
 from __future__ import annotations
 
 import math
 
-from .algebra import format_decimal, format_quotient, scalar_str
+from .algebra import format_quotient, scalar_str
 from .calculus import BmyReport, ManifoldRecord, bmy_report, parameter
 from .pipeline import build_family
 
@@ -53,7 +53,7 @@ def render_csv(rows: list[Row]) -> str:
                     scalar_str(record.sigma),
                     scalar_str(record.c1sq),
                     scalar_str(record.chi_h),
-                    format_decimal(report.ratio),
+                    format_quotient(report.ratio_num, report.ratio_den, 6),
                     scalar_str(report.gap),
                     report.side,
                 )

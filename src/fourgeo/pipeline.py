@@ -32,8 +32,6 @@ table's own chi_h/c2/c1^2 values and the closed form both give 337.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import blocks
 from .algebra import (
     N,
@@ -41,7 +39,7 @@ from .algebra import (
     Scalar,
     as_scalar,
     at_least,
-    format_decimal,
+    format_quotient,
     integer_valued,
     quotient,
     scalar_eval,
@@ -318,7 +316,7 @@ def verify_formulas(n_max: int = 50) -> list[CheckResult]:
         ratio, side = limit.ratio, limit.side
     except ValueError as err:  # chi_h = 0, or c1^2 outgrows chi_h
         ratio = side = str(err)
-    checks.append(_check("limit of c1^2/chi_h", Fraction(9), ratio))
+    checks.append(_check("limit of c1^2/chi_h", 9, ratio))
     checks.append(
         CheckResult("asymptotic side of the 9*chi_h line", "below", side, side == "below")
     )
@@ -357,8 +355,9 @@ def verify_formulas(n_max: int = 50) -> list[CheckResult]:
     ]
     if n_max >= 50:
         try:
-            r50 = bmy_report(members[50]).ratio
-            got, passed = format_decimal(r50), r50 > Fraction(899, 100)
+            r50 = bmy_report(members[50])
+            num, den = r50.ratio_num, r50.ratio_den
+            got, passed = format_quotient(num, den, 6), 100 * num > 899 * den
         except ValueError as err:  # chi_h(50) = 0
             got, passed = str(err), False
         checks.append(CheckResult("ratio at n=50 exceeds 8.99", "> 8.99", got, passed))

@@ -429,7 +429,7 @@ def _binary(op: str, left, right):
         return divide_exact(left, right)
     exponent = as_scalar(right)
     if isinstance(exponent, Poly) and exponent.degree <= 0:
-        exponent = as_scalar(exponent.constant_value())
+        exponent = exponent(0)  # the number a constant polynomial denotes
     if isinstance(exponent, Poly) or exponent.denominator != 1 or exponent < 0:
         raise ValueError("exponent must be a nonnegative integer")
     base, exponent = as_scalar(left), int(exponent)

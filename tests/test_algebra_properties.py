@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fourgeo.algebra import (
@@ -86,6 +86,79 @@ def test_poly_results_are_in_lowest_terms(a, b, e, c):
 def test_constant_poly_hashes_as_its_value(q):
     assert Poly.const(q) == q and hash(Poly.const(q)) == hash(q)
     assert hash(Poly((q, 0))) == hash(q)
+
+
+# -- the integer-form kernel against the Fraction-based code it replaced -------
+# Each reference is that code as it was, on the Fraction accessors; both
+# sides share the ring arithmetic, which did not change.
+
+def _reference_const(c) -> Poly:
+    c = Fraction(c)
+    return Poly._reduced([c.numerator], c.denominator)
+
+
+def _reference_monomial(power: int, c) -> Poly:
+    c = Fraction(c)
+    return Poly._reduced([0] * power + [c.numerator], c.denominator)
+
+
+def _reference_pow(p: Poly, e: int) -> Poly:
+    result, base = _reference_const(1), p
+    while e:
+        if e & 1:
+            result = result * base
+        e >>= 1
+        if e:
+            base = base * base
+    return result
+
+
+def _reference_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    q, r = Poly(), a
+    while not r.is_zero() and r.degree >= b.degree:
+        shift = r.degree - b.degree
+        t = _reference_monomial(shift, r.leading_coefficient / b.leading_coefficient)
+        q, r = q + t, r - t * b
+    return q, r
+
+
+def _reference_eq(p: Poly, x) -> bool:
+    return p.degree <= 0 and p.constant_value() == x
+
+
+def _reference_hash(p: Poly) -> int:
+    return hash(p.constant_value()) if p.degree <= 0 else hash((p._nums, p._den))
+
+
+def _same(p: Poly, q: Poly) -> bool:
+    return type(p) is Poly and (p._nums, p._den) == (q._nums, q._den)
+
+
+numbers = st.one_of(st.integers(min_value=-10**6, max_value=10**6), coefficients)
+
+
+@RING_CASES
+@given(polys, polys.filter(bool), numbers, numbers, st.integers(min_value=0, max_value=6))
+# divisors that are not monic, with a negative leading coefficient, of
+# degree 0 and above the dividend's
+@example(Poly((1, 2, 3)), Poly((5, 0, -3)), 7, Fraction(-7, 2), 3)
+@example(Poly((Fraction(1, 2), -4)), Poly((Fraction(-2, 3),)), Fraction(4, 2), 0, 0)
+@example(Poly((3,)), Poly((0, 0, Fraction(-5, 6))), -1, Fraction(1, 3), 1)
+def test_integer_form_kernel_matches_the_fraction_reference(a, b, x, y, k):
+    assert all(map(_same, divmod(a, b), _reference_divmod(a, b)))
+    if x:
+        assert all(map(_same, divmod(a, x), _reference_divmod(a, _reference_const(x))))
+    assert _same(a**k, _reference_pow(a, k))
+    assert _same(Poly.const(x), _reference_const(x))
+    assert _same(Poly.monomial(k, x), _reference_monomial(k, x))
+    for p in (a, b, divmod(a, b)[1], Poly.const(x), Poly.const(y), Poly()):
+        assert hash(p) == _reference_hash(p)
+        for z in (x, y, 0, *p.coeffs[:1]):
+            assert (p == z) == (z == p) == _reference_eq(p, z)
+            assert (p != z) == (not _reference_eq(p, z))
+            if p == z:
+                assert hash(p) == hash(z)
+    assert Poly.const(1) != True and True != Poly.const(1)  # noqa: E712  a bool is no scalar
 
 
 @settings(deadline=None)

@@ -379,7 +379,7 @@ import io
 import sys
 import fourgeo.cli
 
-last, scan, golden, *layers = sys.argv[1:]
+last, scan, golden, kn, half, *layers = sys.argv[1:]
 
 
 def main(*argv):
@@ -393,14 +393,27 @@ def main(*argv):
     return code, out
 
 
-print("json" in sys.modules, "argparse" in sys.modules)
+def loaded():
+    return " ".join(str(name in sys.modules)
+                    for name in ("json", "argparse", "fractions", "decimal"))
+
+
+print(loaded())
 print(" ".join(layer for layer in layers if "fourgeo." + layer in sys.modules))
 code, _ = main("geography", "--n-min", "2", "--n-max", "9",
                "--csv", scan + ".csv", "--svg", scan + ".svg")
-print(code, "json" in sys.modules, "argparse" in sys.modules)
+print(code, loaded())
 code, out = main("verify-paper", "--json")
 with open(golden, encoding="utf-8") as fh:
-    print(code, out == fh.read(), "json" in sys.modules, "argparse" in sys.modules)
+    print(code, out == fh.read(), loaded())
+for argv in (["exotic", "--n", "3", "--count", "25"],
+             ["geography", "--n-min", "999999999800", "--n-max", "1000000000000",
+              "--csv", scan + ".csv", "--svg", scan + ".svg"],
+             ["build", kn, "--symbolic"],
+             ["build", kn, "--n", "3"]):
+    print(main(*argv)[0], loaded())
+code, out = main("build", half)
+print(code, "value = 1/2" in out.splitlines(), loaded())
 print(main(last)[0], "argparse" in sys.modules)
 """
 
@@ -408,16 +421,21 @@ print(main(last)[0], "argparse" in sys.modules)
 def test_cli_imports_every_layer_but_not_json(tmp_path):
     # well-formed commands import neither argparse nor json, and
     # verify-paper --json still writes the golden report; help and usage
-    # errors import argparse.  pytest imports both itself, so this runs in a
-    # fresh interpreter without site packages
+    # errors import argparse.  A command whose numbers are all integral
+    # never imports fractions (nor decimal, which it loads); one that prints
+    # 1/2 does.  pytest imports all of them itself, so this runs in a fresh
+    # interpreter without site packages
     golden = REPO / "tests" / "golden" / "verify_paper.json"
+    half = tmp_path / "half.geo"
+    half.write_text("report 1/2\n", encoding="utf-8")
+    none = "False False False False"
     for last, code in (("--help", 0), ("exotic", 2)):
         argv = [sys.executable, "-S", "-c", _IMPORT_PROBE, last, str(tmp_path / "scan"),
-                str(golden), *_TRACED_LAYERS]
+                str(golden), KN_SCRIPT, str(half), *_TRACED_LAYERS]
         result = subprocess.run(argv, env=FRESH_ENV, capture_output=True, text=True, timeout=60)
         assert result.stdout.splitlines() == [
-            "False False", " ".join(_TRACED_LAYERS), "0 False False", "0 True False False",
-            f"{code} True"]
+            none, " ".join(_TRACED_LAYERS), f"0 {none}", f"0 True {none}",
+            *[f"0 {none}"] * 4, "0 True False False True True", f"{code} True"]
         assert (result.stderr == "") == (code == 0)
 
 

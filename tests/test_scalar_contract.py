@@ -9,6 +9,7 @@ import pytest
 
 from fourgeo import geography
 from fourgeo.algebra import Poly, as_scalar, quotient, scalar_eval
+from fourgeo.calculus import bmy_report
 from fourgeo.pipeline import build_family
 from fourgeo.record import Record
 from fourgeo.script import evaluate, parse
@@ -44,6 +45,13 @@ def _assert_matches_symbolic(record, symbolic, n, where):
         assert value == scalar_eval(symbolic.invariants()[key], n), (where, key)
 
 
+def _assert_bmy_scalars(report, record, where):
+    # the fields of bmy_report(record), and its ratio, which is not a field
+    _assert_numeric_scalars(report, f"bmy_report({where})")
+    _assert_numeric_scalars(report.ratio, f"bmy_report({where}).ratio")
+    assert report.ratio == quotient(record.c1sq, record.chi_h), where
+
+
 @pytest.mark.parametrize("n", range(2, 13))
 def test_numeric_build_holds_ints(n):
     report = build_family(n)
@@ -53,6 +61,9 @@ def test_numeric_build_holds_ints(n):
             getattr(report, stage).manifold, getattr(SYMBOLIC, stage).manifold, n, stage
         )
     _assert_matches_symbolic(report.manifold, SYMBOLIC.manifold, n, "family")
+    # the K3 block's ratio, (2 - 2n^3) / 2, is integral
+    for stage in (report.cover.manifold, report.k3.manifold, report.manifold):
+        _assert_bmy_scalars(bmy_report(stage), stage, f"build_family({n}) stage")
 
 
 @pytest.mark.parametrize("n", [2, 3, 7])
@@ -70,8 +81,9 @@ def test_script_arithmetic_returns_ints_when_integral():
 
 
 def test_scan_rows_hold_ints():
-    for n, record, _ in geography.scan(2, 30):
+    for n, record, report in geography.scan(2, 30):
         _assert_matches_symbolic(record, SYMBOLIC.manifold, n, f"scan row {n}")
+        _assert_bmy_scalars(report, record, f"scan row {n}")
 
 
 def test_as_scalar_normalizes_numbers():
