@@ -34,8 +34,7 @@ polynomial; a degree-0 Poly compares (and hashes) equal to the number it
 denotes, so numeric and symbolic code paths can be shared.
 
 A Fraction is built only for a value that is not integral, or where a caller
-asks for one (Poly.coeffs, coefficient, leading_coefficient, constant_value
-and LaurentPoly evaluation).  The fractions module, which loads decimal and
+reads Poly.coeffs.  The fractions module, which loads decimal and
 numbers, is imported when the first one is built, so a run whose numbers
 are all integral never imports it.  Until then no Fraction can exist, so
 the type tests read the class from sys.modules.
@@ -149,7 +148,8 @@ class Poly(Record):
     polynomial is ((), 1).  The public constructor takes the coefficients
     coeffs[k] of n^k as ints or Fractions; reading .coeffs gives them back as
     Fractions.  Supports +, -, *, ** with other polynomials, Fractions and
-    ints, division by a nonzero constant, and evaluation via call.
+    ints, division by a nonzero constant, and evaluation at an integer by
+    call.
     """
 
     coeffs: tuple[Fraction, ...] = _Coefficients()
@@ -176,17 +176,6 @@ class Poly(Record):
         c = _number(c)
         return cls._reduced([c.numerator], c.denominator)
 
-    @classmethod
-    def variable(cls) -> "Poly":
-        return cls._reduced([0, 1], 1)
-
-    @classmethod
-    def monomial(cls, power: int, c=1) -> "Poly":
-        if power < 0:
-            raise ValueError("monomial power must be nonnegative")
-        c = _number(c)
-        return cls._reduced([0] * power + [c.numerator], c.denominator)
-
     # -- structure ---------------------------------------------------------
 
     @property
@@ -197,16 +186,6 @@ class Poly(Record):
     def is_zero(self) -> bool:
         return not self._nums
 
-    @property
-    def leading_coefficient(self) -> Fraction:
-        return self.coefficient(self.degree)
-
-    def constant_value(self) -> Fraction:
-        """The value of a degree <= 0 polynomial as a Fraction."""
-        if len(self._nums) > 1:
-            raise ValueError(f"{self} is not constant")
-        return self.coefficient(0)
-
     def shift(self, k: int) -> "Poly":
         """The polynomial p(n + k), for an integer k."""
         return Poly._reduced(_taylor_shift(self._nums, k), self._den)
@@ -216,11 +195,6 @@ class Poly(Record):
         denominator) int pairs: .coeffs without building a Fraction."""
         den = self._den
         return [(c // g, den // g) for c in self._nums for g in [math.gcd(c, den)]]
-
-    def coefficient(self, power: int) -> Fraction:
-        if 0 <= power < len(self._nums):
-            return _fraction(self._nums[power], self._den)
-        return _fraction(0)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -341,22 +315,12 @@ class Poly(Record):
             values = [b - a for a, b in zip(values, values[1:])]
         return tuple(diffs), self._den
 
-    def __call__(self, x) -> int | Fraction:
-        """Exact evaluation, a numeric scalar.  At an integer x it is Horner
-        on the integer form over den; at a rational point x = a/b,
-        homogeneous Horner: sum of nums[i] * a^i * b^(d-i) over den * b^d."""
-        nums = self._nums
-        if type(x) is int:
-            return quotient(_horner(nums, x), self._den)
-        x = _number(x)
-        if not nums:
-            return 0
-        a, b = x.numerator, x.denominator
-        acc, scale = 0, 1
-        for c in reversed(nums):
-            acc = acc * a + c * scale
-            scale *= b
-        return quotient(acc, self._den * (scale // b))
+    def __call__(self, x: int) -> int | Fraction:
+        """Exact evaluation at an integer x (not a bool), a numeric scalar:
+        Horner on the integer form over den."""
+        if type(x) is not int:
+            raise TypeError(f"a polynomial is evaluated at an int, got {x!r}")
+        return quotient(_horner(self._nums, x), self._den)
 
     # -- comparison / display ----------------------------------------------
 
@@ -390,7 +354,7 @@ class Poly(Record):
 
 
 #: The construction parameter n as a polynomial.
-N = Poly.variable()
+N = Poly._reduced([0, 1], 1)
 
 
 def as_scalar(x) -> Scalar:
@@ -621,10 +585,6 @@ class LaurentPoly(Record):
         return self
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls._dense(0, ())
-
-    @classmethod
     def one(cls) -> "LaurentPoly":
         return cls._dense(0, (1,))
 
@@ -635,29 +595,9 @@ class LaurentPoly(Record):
 
     @property
     def coefficients(self) -> tuple[int, ...]:
-        """The coefficients of t^min_exponent .. t^max_exponent, zeros
-        included; () for zero."""
+        """The coefficients from the lowest power of t with a nonzero
+        coefficient to the highest, zeros included; () for zero."""
         return self._cs
-
-    @property
-    def min_exponent(self) -> int:
-        if not self._cs:
-            raise ValueError("undefined for zero")
-        return self._low
-
-    @property
-    def max_exponent(self) -> int:
-        if not self._cs:
-            raise ValueError("undefined for zero")
-        return self._low + len(self._cs) - 1
-
-    def span(self) -> int:
-        """Width of the exponent support (max exponent minus min exponent)."""
-        return self.max_exponent - self.min_exponent
-
-    def coefficient(self, exponent: int) -> int:
-        i = exponent - self._low
-        return self._cs[i] if 0 <= i < len(self._cs) else 0
 
     def is_symmetric(self) -> bool:
         """True iff a(t) = a(1/t) coefficientwise."""
@@ -713,17 +653,6 @@ class LaurentPoly(Record):
         doubled[::2] = self._cs
         return LaurentPoly._dense(2 * self._low, doubled)
 
-    def __call__(self, x) -> Fraction:
-        """Exact evaluation at a nonzero rational point, as a Fraction."""
-        x = _number(x)
-        if x == 0:
-            raise ZeroDivisionError("Laurent polynomial evaluated at 0")
-        x = _fraction(x.numerator, x.denominator)
-        acc = 0
-        for c in reversed(self._cs):
-            acc = acc * x + c
-        return acc * x**self._low
-
     # -- comparison / display ----------------------------------------------
 
     def __eq__(self, other):
@@ -769,9 +698,3 @@ def format_quotient(numerator: int, denominator: int, places: int) -> str:
     sign = "-" if scaled < 0 else ""
     whole, frac = divmod(abs(scaled), scale)
     return f"{sign}{whole}.{frac:0{places}d}"
-
-
-def format_decimal(x: Fraction, places: int = 6) -> str:
-    """A Fraction (or int) as a decimal with `places` digits after the
-    point, rounded half to even by format_quotient."""
-    return format_quotient(x.numerator, x.denominator, places)

@@ -99,14 +99,6 @@ class Report(Node):
 class Script(Record):
     statements: tuple[Node, ...]
 
-    @property
-    def bindings(self) -> tuple[Let, ...]:
-        return tuple(s for s in self.statements if isinstance(s, Let))
-
-    @property
-    def report(self) -> Report:
-        return next(s for s in self.statements if isinstance(s, Report))
-
 
 # --------------------------------------------------------------------------
 # Tokenizer

@@ -12,7 +12,6 @@ from fourgeo.algebra import (
     LaurentPoly,
     Poly,
     at_least,
-    format_decimal,
     format_quotient,
     integer_valued,
     quotient,
@@ -117,17 +116,22 @@ def _reference_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     q, r = Poly(), a
     while not r.is_zero() and r.degree >= b.degree:
         shift = r.degree - b.degree
-        t = _reference_monomial(shift, r.leading_coefficient / b.leading_coefficient)
+        t = _reference_monomial(shift, r.coeffs[-1] / b.coeffs[-1])
         q, r = q + t, r - t * b
     return q, r
 
 
+def _constant(p: Poly) -> Fraction:
+    # the value of a polynomial of degree <= 0
+    return p.coeffs[0] if p.coeffs else Fraction(0)
+
+
 def _reference_eq(p: Poly, x) -> bool:
-    return p.degree <= 0 and p.constant_value() == x
+    return p.degree <= 0 and _constant(p) == x
 
 
 def _reference_hash(p: Poly) -> int:
-    return hash(p.constant_value()) if p.degree <= 0 else hash((p._nums, p._den))
+    return hash(_constant(p)) if p.degree <= 0 else hash((p._nums, p._den))
 
 
 def _same(p: Poly, q: Poly) -> bool:
@@ -150,7 +154,6 @@ def test_integer_form_kernel_matches_the_fraction_reference(a, b, x, y, k):
         assert all(map(_same, divmod(a, x), _reference_divmod(a, _reference_const(x))))
     assert _same(a**k, _reference_pow(a, k))
     assert _same(Poly.const(x), _reference_const(x))
-    assert _same(Poly.monomial(k, x), _reference_monomial(k, x))
     for p in (a, b, divmod(a, b)[1], Poly.const(x), Poly.const(y), Poly()):
         assert hash(p) == _reference_hash(p)
         for z in (x, y, 0, *p.coeffs[:1]):
@@ -172,7 +175,7 @@ def test_cancellation_gives_canonical_zero(a):
 @settings(deadline=None)
 @given(laurents)
 def test_laurent_cancellation(a):
-    assert (a - a) == LaurentPoly.zero()
+    assert (a - a) == LaurentPoly(())
     assert (a - a).terms == ()
 
 
@@ -274,15 +277,13 @@ def test_wide_laurent_matches_dict_model(a, b, e):
         assert LaurentPoly(value.terms) == value
         assert str(value) == _sparse_str(model)
     assert (x + y) - y == x and hash((x + y) - y) == hash(x)
-    assert x.coefficient(e) == a.get(e, 0)
+    assert dict(x.terms).get(e, 0) == a.get(e, 0)
     support = [k for k, c in a.items() if c]
     if support:
-        assert x.span() == max(support) - min(support)
+        assert len(x.coefficients) - 1 == max(support) - min(support)
         assert x.coefficients[0] != 0 and x.coefficients[-1] != 0
     else:
         assert x.is_zero() and x.coefficients == ()
-        with pytest.raises(ValueError, match="undefined for zero"):
-            x.span()
     assert x.is_symmetric() == (_pairs(a) == _pairs(mirror))
     assert (x + LaurentPoly(mirror)).is_symmetric()
 
@@ -327,12 +328,12 @@ def test_at_least_matches_brute_force(coeffs, double_roots, shift, bound):
         p = p * Poly((Fraction(-r), Fraction(1))) ** 2
     p = p + shift
     if p.degree < 1:
-        expected = p.constant_value() >= bound
-    elif p.leading_coefficient < 0:
+        expected = _constant(p) >= bound
+    elif p.coeffs[-1] < 0:
         expected = False
     else:
         # Fujiwara's bound: every root has |z| <= 2 * max_i |a_{d-i}/a_d|^(1/i)
-        d, lead = p.degree, p.leading_coefficient
+        d, lead = p.degree, p.coeffs[-1]
         ratios = [abs(p.coeffs[d - i] / lead) for i in range(1, d + 1)]
         ratios[-1] /= 2
         top = 3 + int(2 * max(float(r) ** (1 / i) for i, r in enumerate(ratios, 1)))
@@ -354,8 +355,8 @@ def test_quotient_of_ints_is_exact(a, b):
 
 
 def _reference_decimal(x, places):
-    # the rounding format_decimal did before format_quotient: a Fraction
-    # product, then Fraction.__round__, which rounds half to even
+    # the rounding before format_quotient: a Fraction product, then
+    # Fraction.__round__, which rounds half to even
     scale = 10**places
     scaled = round(Fraction(x) * scale)
     sign = "-" if scaled < 0 else ""
@@ -369,7 +370,7 @@ def _reference_decimal(x, places):
        st.integers(min_value=1, max_value=10**6))
 def test_format_decimal_matches_fraction_round(a, b, places, k, m):
     for x in (a, Fraction(a, b)):
-        assert format_decimal(x, places) == _reference_decimal(x, places)
+        assert format_quotient(x.numerator, x.denominator, places) == _reference_decimal(x, places)
     # any int over any positive int, in lowest terms or not
     assert format_quotient(a, b, places) == _reference_decimal(Fraction(a, b), places)
     # an exact tie halfway between two neighbours at `places` digits

@@ -13,9 +13,8 @@ KN_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "kn.geo"
 
 def test_parse_single_let():
     script = parse("let Y = blowup(T4, k=n^4)\nreport Y\n")
-    assert len(script.bindings) == 1
-    let = script.bindings[0]
-    assert let.name == "Y"
+    let, report = script.statements
+    assert isinstance(let, Let) and let.name == "Y"
     # postfix: each argument in parameter order, checked at its last
     # instruction, then the call at the operation's name
     assert let.program == (
@@ -24,7 +23,7 @@ def test_parse_single_let():
         ("check", ("blowup", "k", "scalar"), 1, 23),
         ("call", "blowup", 1, 9),
     )
-    assert script.report.program == (("name", "Y", 2, 8),)
+    assert report.program == (("name", "Y", 2, 8),)
 
 
 def test_instructions_carry_their_token_positions():
@@ -37,19 +36,19 @@ def test_instructions_carry_their_token_positions():
 
 
 def test_named_arguments_compile_in_parameter_order():
-    swapped = parse("report blowup(k=1, m=T4)\n").report.program
+    swapped = parse("report blowup(k=1, m=T4)\n").statements[0].program
     assert [op for op, *_ in swapped] == ["name", "check", "num", "check", "call"]
     assert swapped[0] == ("name", "T4", 1, 22) and swapped[2] == ("num", 1, 1, 17)
 
 
 def test_call_table_error_compiles_to_one_fail():
     # parse accepts the call; its arguments are not compiled and never run
-    assert parse("report nope(Missing, 1 + 2)\n").report.program == (
+    assert parse("report nope(Missing, 1 + 2)\n").statements[0].program == (
         ("fail", "unknown operation 'nope'", 1, 8),
     )
     for text in ("report blowup(T4)\n", "report blowup(T4, 1, 2)\n",
                  "report blowup(T4, x=1)\n", "report blowup(T4, 1, m=T4)\n"):
-        (op, _, line, col), = parse(text).report.program
+        (op, _, line, col), = parse(text).statements[0].program
         assert (op, line, col) == ("fail", 1, 8)
 
 
@@ -103,11 +102,11 @@ def test_parse_rejects_rebinding():
 
 
 def test_kn_script_shape():
-    script = parse(KN_SCRIPT.read_text())
-    assert [let.name for let in script.bindings] == ["Y", "X", "Freg", "F", "NN", "FP"]
-    assert all(isinstance(s, Let) for s in script.statements[:6])
-    assert script.report.program[-1] == ("call", "fiber_sum", 15, 8)
-    assert [arg for op, arg, _, _ in script.report.program if op == "name"] == ["X", "F", "NN", "FP"]
+    *lets, report = parse(KN_SCRIPT.read_text()).statements
+    assert all(isinstance(s, Let) for s in lets)
+    assert [let.name for let in lets] == ["Y", "X", "Freg", "F", "NN", "FP"]
+    assert report.program[-1] == ("call", "fiber_sum", 15, 8)
+    assert [arg for op, arg, _, _ in report.program if op == "name"] == ["X", "F", "NN", "FP"]
 
 
 def test_kn_script_numeric_matches_pipeline():
@@ -300,7 +299,7 @@ def test_precedence_and_associativity_evaluate_exactly():
 def test_precedence_compiles_to_postfix():
     def ops(text):
         return [op if op not in ("num", "name") else arg
-                for op, arg, _, _ in parse(f"report {text}\n").report.program]
+                for op, arg, _, _ in parse(f"report {text}\n").statements[0].program]
 
     assert ops("-n^2") == ["n", 2, "^", "neg"]
     assert ops("2^3^2") == [2, 3, 2, "^", "^"]

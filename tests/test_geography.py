@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fourgeo import geography
-from fourgeo.algebra import format_decimal, quotient
+from fourgeo.algebra import format_quotient, quotient
 from fourgeo.calculus import ManifoldRecord, bmy_report
 from fourgeo.pipeline import build_family
 
@@ -56,7 +56,7 @@ def _reference_svg(rows):
     W, H, M = 860, 620, 70
 
     def fmt(x):
-        return format_decimal(x, 2)
+        return format_quotient(x.numerator, x.denominator, 2)
 
     x_max = max(record.chi_h for _, record, _ in rows) * Fraction(21, 20)
     y_max = max(record.c1sq for _, record, _ in rows) * Fraction(21, 20)

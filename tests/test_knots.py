@@ -80,7 +80,7 @@ def test_alexander_invariants_catalog():
     catalog += nonfibered_nonmonic_family(5)
     catalog.append(unknot())
     for k in catalog:
-        assert k.alexander(1) in (1, -1)
+        assert sum(k.alexander.coefficients) in (1, -1)  # Delta(1)
         assert k.alexander.is_symmetric()
         assert k.monic == is_monic_symmetric(k.alexander)
         if k.fibered:
@@ -90,8 +90,8 @@ def test_alexander_invariants_catalog():
 def test_torus_knot_span_is_twice_genus():
     for p, q in [(2, 3), (2, 9), (3, 5), (4, 7)]:
         k = torus_knot(p, q)
-        assert k.alexander.span() == 2 * k.genus
-        assert k.alexander.substitute_square().span() == 4 * k.genus
+        assert len(k.alexander.coefficients) - 1 == 2 * k.genus
+        assert len(k.alexander.substitute_square().coefficients) - 1 == 4 * k.genus
 
 
 def test_find_fibered_knot_of_genus():
@@ -129,7 +129,7 @@ def test_torus_knot_polynomial_validated_when_materialized(monkeypatch):
     # torus_knot defers its polynomial; whatever is built on first read
     # goes through every check a given polynomial does.
     bad = {
-        "cannot be zero": LaurentPoly.zero(),
+        "cannot be zero": LaurentPoly(()),
         "D\\(t\\) = D\\(1/t\\)": LaurentPoly({1: 1, 0: -1}),
         "D\\(1\\) = \\+-1": LaurentPoly({1: 1, 0: 1, -1: 1}),
         "monic": LaurentPoly({1: 2, 0: -3, -1: 2}),
@@ -295,5 +295,5 @@ def test_ledger_string_shows_deferred():
     )
     at_cap = SWLedger(LaurentPoly.one(), knots=(find_fibered_knot_of_genus(ALEXANDER_GENUS_CAP),))
     value, factored = at_cap.expand()
-    assert factored == () and value.span() == 4 * ALEXANDER_GENUS_CAP
+    assert factored == () and len(value.coefficients) - 1 == 4 * ALEXANDER_GENUS_CAP
     assert str(at_cap) == str(value)

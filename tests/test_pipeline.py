@@ -98,7 +98,7 @@ def test_k3_block_ledger_materializes_only_at_small_n():
     assert knot2.descriptor == "torus(2,115)"
     assert "alexander" not in vars(knot2)
     value, factored = sw2.expand()
-    assert factored == () and value.span() == 4 * 57
+    assert factored == () and len(value.coefficients) - 1 == 4 * 57
     assert str(sw2) == str(value)
 
     k3_20 = build_k3_block(20).manifold

@@ -96,8 +96,6 @@ def test_poly_arithmetic_matches_sympy():
         assert a / c == from_sympy(sa * sympy.Rational(c.denominator, c.numerator))
         k = rng.randint(-10, 10)
         assert a(k) == fraction(sa.eval(k))
-        x = rand_rational(rng)
-        assert a(x) == fraction(sa.eval(sympy.Rational(x.numerator, x.denominator)))
 
 
 def test_shift_matches_sympy():
