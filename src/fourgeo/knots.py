@@ -13,6 +13,8 @@ builds and validates its Alexander polynomial the first time it is read.
 Only printing and comparing a ledger expand it, and only for knots of genus
 up to ALEXANDER_GENUS_CAP; a larger or symbolic genus (the gluing genus
 grows like 3n^5) prints as a Delta[...](t^2) factor and cannot be compared.
+Comparing a family of surgeries on one base (distinguish_family) checks the
+base and expands its ledger once, then multiplies in each knot's factor.
 """
 
 from __future__ import annotations
@@ -22,7 +24,14 @@ import operator
 from itertools import accumulate
 
 from .algebra import LaurentPoly, Poly, Scalar, as_scalar, scalar_str
-from .calculus import ManifoldRecord, MarkedSurface, UNKNOWN, _require_count, declared_false
+from .calculus import (
+    UNKNOWN,
+    Declared,
+    ManifoldRecord,
+    MarkedSurface,
+    _require_count,
+    declared_false,
+)
 from .record import Record, cached, replace
 
 #: Largest knot genus whose Delta_K(t^2) factor a ledger expands when it is
@@ -75,7 +84,8 @@ class Knot(Record):
         return abs(self.alexander.coefficients[-1]) == 1
 
     def is_trivial(self) -> bool:
-        return self.alexander == LaurentPoly.one()
+        # a symmetric polynomial with the one coefficient 1 is 1
+        return self.alexander.coefficients == (1,)
 
 
 def _divide_by_t_power_minus_1(coeffs: list[int], k: int) -> list[int]:
@@ -116,7 +126,7 @@ def torus_knot(p: int, q: int) -> Knot:
         raise ValueError(f"torus knot parameters must be integers >= 2, got ({p}, {q})")
     if math.gcd(p, q) != 1:
         raise ValueError(f"not a knot: gcd({p}, {q}) != 1")
-    return Knot(f"torus({p},{q})", (p - 1) * (q - 1) // 2, (p, q), fibered=True)
+    return Knot(f"torus({p},{q})", (p - 1) * (q - 1) // 2, (p, q), True)
 
 
 def unknot() -> Knot:
@@ -144,8 +154,8 @@ def twist_knot(m: int) -> Knot:
     not fibered and not monic for m >= 2."""
     if not isinstance(m, int) or m < 2:
         raise ValueError(f"twist parameter must be an integer >= 2, got {m}")
-    alexander = LaurentPoly({1: m, 0: -(2 * m + 1), -1: m})
-    return Knot(f"twist({m})", 1, alexander, fibered=False)
+    alexander = LaurentPoly._dense(-1, (m, -(2 * m + 1), m))
+    return Knot(f"twist({m})", 1, alexander, False)
 
 
 def nonfibered_nonmonic_family(count: int) -> list[Knot]:
@@ -154,6 +164,11 @@ def nonfibered_nonmonic_family(count: int) -> list[Knot]:
     if not isinstance(count, int) or isinstance(count, bool) or count < 1:
         raise ValueError(f"family size must be a positive integer, got {count}")
     return [twist_knot(m) for m in range(2, count + 2)]
+
+
+def _expands(knot: Knot) -> bool:
+    # a ledger multiplies out Delta_K(t^2) only for a numeric genus up to the cap
+    return not isinstance(knot.genus, Poly) and knot.genus <= ALEXANDER_GENUS_CAP
 
 
 class SWLedger(Record):
@@ -169,7 +184,7 @@ class SWLedger(Record):
         the knots whose factors (larger or symbolic genus) stay unexpanded."""
         value, factored = self.value, ()
         for knot in self.knots:
-            if not isinstance(knot.genus, Poly) and knot.genus <= ALEXANDER_GENUS_CAP:
+            if _expands(knot):
                 value = value * knot.alexander.substitute_square()
             else:
                 factored += (knot,)
@@ -178,6 +193,29 @@ class SWLedger(Record):
     def __str__(self):
         value, factored = self.expand()
         return " * ".join([str(value)] + [f"Delta[{k.descriptor}](t^2)" for k in factored])
+
+
+def _require_surgery_torus(record: ManifoldRecord, torus: str) -> None:
+    # what knot surgery needs of the record, whatever the knot
+    if record.sw is None:
+        raise ValueError("knot surgery needs a Seiberg-Witten ledger on the record")
+    if not record.has_surface(torus):
+        raise ValueError(f"knot surgery needs a designated square-zero torus: no surface named {torus!r}")
+    t = record.surface(torus)
+    if as_scalar(t.genus) != 1 or as_scalar(t.self_int) != 0:
+        raise ValueError(f"surgery torus must have genus 1 and square 0, got {t}")
+
+
+_NON_MONIC = declared_false(
+    "knot surgery along a non-fibered knot with non-monic Alexander polynomial"
+)
+
+
+def _surgered_symplectic(symplectic: Declared, knot: Knot) -> Declared:
+    # the symplectic flag after surgery along knot, from the flag before it
+    if knot.fibered:
+        return symplectic
+    return UNKNOWN if knot.monic else _NON_MONIC
 
 
 def knot_surgery(
@@ -196,25 +234,9 @@ def knot_surgery(
     the knot genus (the internal sum used to build gluing surfaces of
     prescribed genus).
     """
-    if record.sw is None:
-        raise ValueError("knot surgery needs a Seiberg-Witten ledger on the record")
-    if not record.has_surface(torus):
-        raise ValueError(f"knot surgery needs a designated square-zero torus: no surface named {torus!r}")
-    t = record.surface(torus)
-    if as_scalar(t.genus) != 1 or as_scalar(t.self_int) != 0:
-        raise ValueError(f"surgery torus must have genus 1 and square 0, got {t}")
-
+    _require_surgery_torus(record, torus)
     sw = replace(record.sw, knots=record.sw.knots + (knot,))
-
-    if knot.fibered:
-        symplectic = record.symplectic
-    elif not knot.monic:
-        symplectic = declared_false(
-            "knot surgery along a non-fibered knot with non-monic Alexander polynomial"
-        )
-    else:
-        symplectic = UNKNOWN
-
+    symplectic = _surgered_symplectic(record.symplectic, knot)
     if sum_target is not None:
         s = record.surface(sum_target)
         record = record.with_surface(sum_target, MarkedSurface(s.genus + knot.genus, s.self_int))
@@ -247,34 +269,41 @@ class FamilyReport(Record):
         return [e for e in self.entries if not e.symplectic_candidate]
 
 
+_UNEXPANDED = "cannot compare an unexpanded Alexander polynomial: "
+
+
 def distinguish_family(
     base: ManifoldRecord, knots: list[Knot], torus: str = "fiber"
 ) -> FamilyReport:
     """Surger the base record along every knot and compare the ledgers.
 
-    The resulting Seiberg-Witten values are grouped by ledger value; the
-    entries are partitioned into symplectic candidates (records that
-    knot_surgery leaves symplectic: fibered knots on a symplectic base) and
-    the rest.
+    Each entry is what knot_surgery(base, knot, torus) and SWLedger.expand
+    give, without building the surgered record: knot_surgery's checks on
+    the base run once, at the first knot (so an empty list checks nothing),
+    and the base ledger is expanded once; each knot then multiplies it by
+    its own Delta_K(t^2).  A base or knot factor that stays unexpanded
+    (symbolic genus, or above ALEXANDER_GENUS_CAP) cannot be compared and
+    raises.  The entries are partitioned into symplectic candidates
+    (records that knot_surgery leaves symplectic: fibered knots on a
+    symplectic base) and the rest; collisions lists every pair of equal
+    ledgers, in index order.
     """
     entries = []
+    value = None  # the base ledger, expanded
     for knot in knots:
-        surgered = knot_surgery(base, knot, torus=torus)
-        sw, factored = surgered.sw.expand()
-        if factored:
-            raise ValueError(
-                f"cannot compare an unexpanded Alexander polynomial: {factored[0].descriptor}"
-            )
+        if value is None:
+            _require_surgery_torus(base, torus)
+        # as in knot_surgery, the knot's flag comes before the ledger
+        symplectic = _surgered_symplectic(base.symplectic, knot)
+        if value is None:
+            value, factored = base.sw.expand()
+            if factored:
+                raise ValueError(_UNEXPANDED + factored[0].descriptor)
+        if not _expands(knot):
+            raise ValueError(_UNEXPANDED + knot.descriptor)
+        sw = value * knot.alexander.substitute_square()
         note = "trivial Alexander polynomial, no exotic pair" if knot.is_trivial() else ""
-        entries.append(
-            FamilyEntry(
-                knot.descriptor,
-                sw,
-                monic=knot.monic,
-                symplectic_candidate=surgered.symplectic.is_true(),
-                note=note,
-            )
-        )
+        entries.append(FamilyEntry(knot.descriptor, sw, knot.monic, symplectic.is_true(), note))
     earlier: dict[LaurentPoly, list[int]] = {}
     pairs = []
     for j, entry in enumerate(entries):

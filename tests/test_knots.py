@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fourgeo import knots
 from fourgeo.algebra import N, LaurentPoly
@@ -297,3 +299,110 @@ def test_ledger_string_shows_deferred():
     value, factored = at_cap.expand()
     assert factored == () and len(value.coefficients) - 1 == 4 * ALEXANDER_GENUS_CAP
     assert str(at_cap) == str(value)
+
+
+def _surgered_entry(base, knot, torus="fiber"):
+    # one FamilyEntry as knot_surgery followed by SWLedger.expand gives it
+    surgered = knot_surgery(base, knot, torus=torus)
+    sw, factored = surgered.sw.expand()
+    assert factored == ()
+    note = "trivial Alexander polynomial, no exotic pair" if knot.alexander == LaurentPoly.one() else ""
+    return (knot.descriptor, sw, knot.monic, surgered.symplectic.is_true(), note)
+
+
+_small_knots = st.one_of(
+    st.tuples(st.integers(2, 6), st.integers(2, 15))
+    .filter(lambda pq: math.gcd(*pq) == 1)
+    .map(lambda pq: torus_knot(*pq)),
+    st.integers(2, 9).map(twist_knot),
+    st.just(unknot()),
+)
+
+
+@st.composite
+def _families(draw):
+    family = []
+    for i in range(draw(st.integers(0, 12))):
+        knot = draw(_small_knots)
+        if family and draw(st.booleans()):
+            # a copy of an earlier knot under a new name; a monic copy is
+            # declared fibered or not, a non-monic one cannot be fibered
+            other = draw(st.sampled_from(family))
+            fibered = other.monic and draw(st.booleans())
+            knot = Knot(f"copy-{i}", other.genus, other.alexander, fibered)
+        family.append(knot)
+    return family
+
+
+_bases = [
+    k3_elliptic(),
+    replace(k3_elliptic(), symplectic=declared_false("not symplectic, for the test")),
+    replace(k3_elliptic(), sw=SWLedger(LaurentPoly.one(), (torus_knot(2, 3), twist_knot(2)))),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_bases), _families())
+def test_distinguish_family_matches_knot_surgery_one_knot_at_a_time(base, family):
+    report = distinguish_family(base, family)
+    assert isinstance(report, knots.FamilyReport)
+    assert all(isinstance(e, knots.FamilyEntry) for e in report.entries)
+    got = [(e.knot, e.sw, e.monic, e.symplectic_candidate, e.note) for e in report.entries]
+    assert got == [_surgered_entry(base, knot) for knot in family]
+    ledgers = [e.sw for e in report.entries]
+    assert report.collisions == tuple(
+        (report.entries[i].knot, report.entries[j].knot)
+        for i in range(len(ledgers))
+        for j in range(i + 1, len(ledgers))
+        if ledgers[i] == ledgers[j]
+    )
+
+
+def _error_cases():
+    base = k3_elliptic()
+    factored_base = replace(base, sw=SWLedger(LaurentPoly.one(), (find_fibered_knot_of_genus(N + 1),)))
+    symbolic = find_fibered_knot_of_genus(N**2 + 1)
+    symbolic_nonfibered = Knot("ns", N, None, False)
+    return [
+        ("no ledger", replace(base, sw=None), [unknot()],
+         "knot surgery needs a Seiberg-Witten ledger on the record"),
+        ("no ledger before a symbolic knot", replace(base, sw=None), [symbolic_nonfibered],
+         "knot surgery needs a Seiberg-Witten ledger on the record"),
+        ("missing torus", replace(base, surfaces=()), [unknot()],
+         "knot surgery needs a designated square-zero torus: no surface named 'fiber'"),
+        ("torus genus", base.with_surface("fiber", MarkedSurface(2, 0)), [unknot()],
+         "surgery torus must have genus 1 and square 0, got genus 2, self-intersection 0"),
+        ("torus square", base.with_surface("fiber", MarkedSurface(1, 1)), [unknot()],
+         "surgery torus must have genus 1 and square 0, got genus 1, self-intersection 1"),
+        ("factored base knot", factored_base, [unknot()],
+         "cannot compare an unexpanded Alexander polynomial: torus(2, 2*(n + 1)+1)"),
+        # the first knot's symplectic flag reads its polynomial before the
+        # base ledger is expanded
+        ("non-fibered symbolic knot on a factored base", factored_base, [symbolic_nonfibered],
+         "no Alexander polynomial at symbolic genus: ns"),
+        ("symbolic knot", base, [unknot(), symbolic],
+         "cannot compare an unexpanded Alexander polynomial: torus(2, 2*(n^2 + 1)+1)"),
+        ("symbolic knot before a non-fibered one", base, [symbolic, symbolic_nonfibered],
+         "cannot compare an unexpanded Alexander polynomial: torus(2, 2*(n^2 + 1)+1)"),
+    ]
+
+
+@pytest.mark.parametrize("case", _error_cases(), ids=lambda case: case[0])
+def test_distinguish_family_raises_the_first_error_of_knot_surgery(case):
+    _, base, family, message = case
+    with pytest.raises(ValueError) as err:
+        distinguish_family(base, family)
+    assert str(err.value) == message
+
+
+def test_distinguish_family_rejects_a_knot_above_the_genus_cap(monkeypatch):
+    monkeypatch.setattr(knots, "ALEXANDER_GENUS_CAP", 2)
+    with pytest.raises(ValueError) as err:
+        distinguish_family(k3_elliptic(), [torus_knot(2, 5), torus_knot(2, 7)])
+    assert str(err.value) == "cannot compare an unexpanded Alexander polynomial: torus(2,7)"
+
+
+def test_distinguish_family_of_no_knots_checks_nothing():
+    bare = k3_elliptic()
+    for base in (replace(bare, sw=None), replace(bare, surfaces=())):
+        assert distinguish_family(base, []) == knots.FamilyReport((), ())
