@@ -25,13 +25,19 @@ calculus:
                builds is a knot polynomial or a ledger, and each expanded
                knot factor spans at most 4 * knots.ALEXANDER_GENUS_CAP.
 
-A Scalar is numeric or a Poly.  A numeric scalar is a plain int when it is
-integral and a Fraction only when it is not; as_scalar puts a number in that
-form, and Poly evaluation at an integer returns it.  Every division between
-scalars goes through quotient, the one exact division: int / int in Python
-would be a float.  Mixed arithmetic promotes a number to a constant
-polynomial; a degree-0 Poly compares (and hashes) equal to the number it
-denotes, so numeric and symbolic code paths can be shared.
+A Scalar is an int, a Fraction or a Poly, and as_scalar states its normal
+form: an int when the value is integral, a Fraction when it is not, and a
+Poly only when its degree is positive, so a constant polynomial is the
+number it denotes.  It is applied where a value is made or enters: the
+record constructors, the arguments of the calculus and knot operations, and
+each value a script computes.  Arithmetic on normal scalars can leave the
+form (n - n is the zero Poly, 3 * Fraction(1, 3) an integral Fraction), but
+a constant Poly compares and hashes equal to the number it denotes, so
+numeric and symbolic code paths can be shared, and a scalar prints with
+str, which gives a constant Poly or an integral Fraction the text of that
+number.  Every division between scalars goes through quotient, the one
+exact division (int / int in Python would be a float), and Poly evaluation
+at an integer returns a normal number.
 
 A Fraction is built only for a value that is not integral, or where a caller
 reads Poly.coeffs.  The fractions module, which loads decimal and
@@ -358,10 +364,13 @@ N = Poly._reduced([0, 1], 1)
 
 
 def as_scalar(x) -> Scalar:
-    """Coerce an int/Fraction/Poly to a Scalar: a Poly stays a Poly, an
-    integral number becomes an int, any other rational stays a Fraction."""
-    if type(x) is int or isinstance(x, Poly):
+    """The normal form of an int, Fraction or Poly: an int when integral, a
+    Fraction when not, and a Poly only when its degree is positive (a
+    constant Poly becomes its number, p(0))."""
+    if type(x) is int:
         return x
+    if isinstance(x, Poly):
+        return x if len(x._nums) > 1 else x(0)
     x = _number(x)
     return x.numerator if x.denominator == 1 else x
 
@@ -385,17 +394,11 @@ def quotient(a: Scalar, b: Scalar) -> Scalar:
 
 def scalar_eval(s: Scalar, n) -> Scalar:
     """Evaluate a Scalar at a concrete parameter value."""
-    return as_scalar(s(n) if isinstance(s, Poly) else s)
-
-
-def scalar_str(s: Scalar) -> str:
-    return str(as_scalar(s))
+    return s(n) if isinstance(s, Poly) else s
 
 
 def divide_exact(a: Scalar, b: Scalar) -> Scalar:
     """Exact division of scalars; raises ValueError when b does not divide a."""
-    a = as_scalar(a)
-    b = as_scalar(b)
     if not isinstance(b, Poly):
         return quotient(a, b)
     if not isinstance(a, Poly):
@@ -413,7 +416,6 @@ def integer_valued(p: Scalar) -> bool:
     on all of Z iff every iterated forward difference of p at 2, up to the
     degree, is an integer.  This is total, no sampling involved.
     """
-    p = as_scalar(p)
     if not isinstance(p, Poly):
         return p.denominator == 1
     diffs, den = p.newton_table
@@ -438,7 +440,6 @@ def at_least(p: Scalar, bound: int) -> bool:
     the last term halved, stays within 2d times the largest root, where
     Cauchy's 1 + max_i |q_i/q_d| can grow like its d-th power.
     """
-    p = as_scalar(p)
     if not isinstance(p, Poly):
         return p >= bound
     diffs, den = p.newton_table

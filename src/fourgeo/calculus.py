@@ -36,7 +36,6 @@ from .algebra import (
     divide_exact,
     integer_valued,
     quotient,
-    scalar_str,
 )
 from .record import Record, cached, replace
 
@@ -84,11 +83,8 @@ class MarkedSurface(Record):
         _require_count(self.genus, "surface genus")
         _require_integer(self.self_int, "surface self-intersection")
 
-    def euler(self) -> Scalar:
-        return 2 - 2 * self.genus
-
     def __str__(self):
-        return f"genus {scalar_str(self.genus)}, self-intersection {scalar_str(self.self_int)}"
+        return f"genus {self.genus}, self-intersection {self.self_int}"
 
 
 class BranchData(Record):
@@ -133,9 +129,7 @@ class ManifoldRecord(Record):
         object.__setattr__(self, "e", as_scalar(self.e))
         object.__setattr__(self, "sigma", as_scalar(self.sigma))
         if self.almost_complex and not integer_valued(self.chi_h):
-            raise ValueError(
-                f"almost-complex record with non-integral chi_h = {scalar_str(self.chi_h)}"
-            )
+            raise ValueError(f"almost-complex record with non-integral chi_h = {self.chi_h}")
 
     @property
     def c2(self) -> Scalar:
@@ -204,7 +198,7 @@ def _require_count(k: Scalar, what: str, positive: bool = False) -> None:
         return
     _require_integer(k, what)
     if not at_least(k, bound):
-        raise ValueError(f"{what} must be {kind} for n >= 2, got {scalar_str(k)}")
+        raise ValueError(f"{what} must be {kind} for n >= 2, got {k}")
 
 
 def _require_integer(k: Scalar, what: str) -> None:
@@ -212,16 +206,14 @@ def _require_integer(k: Scalar, what: str) -> None:
     (decided exactly) when symbolic."""
     if not integer_valued(k):
         kind = "integer-valued" if isinstance(k, Poly) else "an integer"
-        raise ValueError(f"{what} must be {kind}, got {scalar_str(k)}")
+        raise ValueError(f"{what} must be {kind}, got {k}")
 
 
 def _sheet_count(degree: Scalar, index: Scalar) -> Scalar:
     """d/m, the sheets meeting over the branch divisor; m must divide d."""
     sheets = divide_exact(degree, index)
     if not integer_valued(sheets):
-        raise ValueError(
-            f"branching index {scalar_str(index)} does not divide degree {scalar_str(degree)}"
-        )
+        raise ValueError(f"branching index {index} does not divide degree {degree}")
     return sheets
 
 
@@ -237,7 +229,7 @@ def blow_up(record: ManifoldRecord, k) -> ManifoldRecord:
         record,
         e=record.e + k,
         sigma=record.sigma - k,
-        log=record.log + (f"blow_up(k={scalar_str(k)})",),
+        log=record.log + (f"blow_up(k={k})",),
     )
 
 
@@ -274,13 +266,11 @@ def branched_cover(record: ManifoldRecord, branch: BranchData) -> ManifoldRecord
     chi_new = quotient(sigma_new + e_new, 4)
     if not (integer_valued(sigma_new) and integer_valued(chi_new)):
         raise ValueError(
-            "inconsistent branch data: cover has sigma = "
-            f"{scalar_str(sigma_new)}, chi_h = {scalar_str(chi_new)}"
+            f"inconsistent branch data: cover has sigma = {sigma_new}, chi_h = {chi_new}"
         )
     entry = (
-        f"branched_cover(degree={scalar_str(d)}, index={scalar_str(m)}, "
-        f"e_branch={scalar_str(branch.e_branch)}, K.D={scalar_str(branch.k_dot_d)}, "
-        f"D^2={scalar_str(branch.d_sq)})"
+        f"branched_cover(degree={d}, index={m}, e_branch={branch.e_branch}, "
+        f"K.D={branch.k_dot_d}, D^2={branch.d_sq})"
     )
     return ManifoldRecord(
         e_new,
@@ -305,7 +295,7 @@ def riemann_hurwitz(e_base, branch_points, degree, index) -> Scalar:
     _require_count(d, "cover degree", positive=True)
     _require_count(m, "branching index", positive=True)
     _require_count(b, "branch point count")
-    return d * (e_base - b) + _sheet_count(d, m) * b
+    return as_scalar(d * (e_base - b) + _sheet_count(d, m) * b)
 
 
 def euler_of_union(component_eulers: Sequence, intersection_points) -> Scalar:
@@ -314,7 +304,7 @@ def euler_of_union(component_eulers: Sequence, intersection_points) -> Scalar:
     total: Scalar = 0
     for e in component_eulers:
         total = total + as_scalar(e)
-    return total - as_scalar(intersection_points)
+    return as_scalar(total - as_scalar(intersection_points))
 
 
 def genus_from_euler(e) -> Scalar:
@@ -327,13 +317,9 @@ def genus_from_euler(e) -> Scalar:
         if e > 2:
             raise ValueError(f"genus undefined: Euler characteristic {e} exceeds 2")
     elif not integer_valued(g):
-        raise ValueError(
-            f"genus undefined: Euler characteristic {scalar_str(e)} is odd at some integers"
-        )
+        raise ValueError(f"genus undefined: Euler characteristic {e} is odd at some integers")
     elif not at_least(g, 0):
-        raise ValueError(
-            f"genus undefined: Euler characteristic {scalar_str(e)} exceeds 2 at some n >= 2"
-        )
+        raise ValueError(f"genus undefined: Euler characteristic {e} exceeds 2 at some n >= 2")
     return g
 
 
@@ -341,7 +327,7 @@ def resolve_surfaces(s1: MarkedSurface, s2: MarkedSurface, k) -> MarkedSurface:
     """Resolve k transverse positive intersections of two surfaces into one
     embedded surface: genus = g1 + g2 + k - 1, square = s1 + s2 + 2k."""
     k = as_scalar(k)
-    if k.is_zero() if isinstance(k, Poly) else k <= 0:
+    if not isinstance(k, Poly) and k <= 0:
         raise ValueError("resolution needs at least one intersection")
     _require_count(k, "intersection count", positive=True)
     return MarkedSurface(
@@ -368,16 +354,12 @@ def fiber_sum(
     are supplied: that the gluing surface carries pi_1 onto the left record,
     and that its complement in the right record is simply connected.
     """
-    if as_scalar(left_surface.genus) != as_scalar(right_surface.genus):
-        raise ValueError(
-            "fiber sum genus mismatch: "
-            f"{scalar_str(left_surface.genus)} vs {scalar_str(right_surface.genus)}"
-        )
-    total_sq = left_surface.self_int + right_surface.self_int
-    if as_scalar(total_sq) != 0:
+    if left_surface.genus != right_surface.genus:
+        raise ValueError(f"fiber sum genus mismatch: {left_surface.genus} vs {right_surface.genus}")
+    if left_surface.self_int + right_surface.self_int != 0:
         raise ValueError(
             "fiber sum squares do not cancel: "
-            f"{scalar_str(left_surface.self_int)} + {scalar_str(right_surface.self_int)} != 0"
+            f"{left_surface.self_int} + {right_surface.self_int} != 0"
         )
     g = left_surface.genus
     if pi1_surjection and complement_trivial:
@@ -389,8 +371,7 @@ def fiber_sum(
     else:
         sympl = UNKNOWN
     entry = (
-        f"fiber_sum(genus={scalar_str(g)}, squares "
-        f"{scalar_str(left_surface.self_int)}/{scalar_str(right_surface.self_int)})"
+        f"fiber_sum(genus={g}, squares {left_surface.self_int}/{right_surface.self_int})"
     )
     return ManifoldRecord(
         left.e + right.e + 4 * g - 4,

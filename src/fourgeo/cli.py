@@ -21,7 +21,6 @@ from types import SimpleNamespace
 from typing import NoReturn
 
 from . import geography
-from .algebra import scalar_str
 from .calculus import ManifoldRecord, MarkedSurface
 from .pipeline import exotic_family, verify_formulas
 from .script import ScriptError, evaluate, parse
@@ -29,11 +28,11 @@ from .script import ScriptError, evaluate, parse
 
 def _print_manifold(record: ManifoldRecord, out) -> None:
     inv = record.invariants()
-    print(f"e     = {scalar_str(inv['e'])}", file=out)
-    print(f"sigma = {scalar_str(inv['sigma'])}", file=out)
-    print(f"c2    = {scalar_str(inv['c2'])}", file=out)
-    print(f"c1^2  = {scalar_str(inv['c1sq'])}", file=out)
-    print(f"chi_h = {scalar_str(inv['chi_h'])}", file=out)
+    print(f"e     = {inv['e']}", file=out)
+    print(f"sigma = {inv['sigma']}", file=out)
+    print(f"c2    = {inv['c2']}", file=out)
+    print(f"c1^2  = {inv['c1sq']}", file=out)
+    print(f"chi_h = {inv['chi_h']}", file=out)
     print(f"simply connected: {record.simply_connected}", file=out)
     print(f"symplectic: {record.symplectic}", file=out)
     if record.sw is not None:
@@ -69,7 +68,7 @@ def _cmd_build(args) -> int:
     elif isinstance(value, MarkedSurface):
         print(f"surface: {value}")
     else:
-        print(f"value = {scalar_str(value)}")
+        print(f"value = {value}")
     return 0
 
 
@@ -115,9 +114,8 @@ def _cmd_geography(args) -> int:
 def _cmd_exotic(args) -> int:
     report = exotic_family(args.n, args.count)
     base, family = report.base, report.family
-    print(f"base manifold (n = {args.n}): e = {scalar_str(base.e)}, "
-          f"sigma = {scalar_str(base.sigma)}, c1^2 = {scalar_str(base.c1sq)}, "
-          f"chi_h = {scalar_str(base.chi_h)}")
+    print(f"base manifold (n = {args.n}): e = {base.e}, sigma = {base.sigma}, "
+          f"c1^2 = {base.c1sq}, chi_h = {base.chi_h}")
     print(f"surgeries along the surviving square-zero torus: "
           f"{len(family.entries)} knots")
     for entry in family.entries:

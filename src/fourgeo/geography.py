@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from .algebra import format_quotient, scalar_str
+from .algebra import format_quotient
 from .calculus import BmyReport, ManifoldRecord, bmy_report, parameter
 from .pipeline import build_family
 
@@ -49,12 +49,12 @@ def render_csv(rows: list[Row]) -> str:
             ",".join(
                 (
                     str(n),
-                    scalar_str(record.e),
-                    scalar_str(record.sigma),
-                    scalar_str(record.c1sq),
-                    scalar_str(record.chi_h),
+                    str(record.e),
+                    str(record.sigma),
+                    str(record.c1sq),
+                    str(record.chi_h),
                     format_quotient(report.ratio_num, report.ratio_den, 6),
-                    scalar_str(report.gap),
+                    str(report.gap),
                     report.side,
                 )
             )

@@ -23,7 +23,7 @@ import math
 import operator
 from itertools import accumulate
 
-from .algebra import LaurentPoly, Poly, Scalar, as_scalar, scalar_str
+from .algebra import LaurentPoly, Poly, Scalar, as_scalar
 from .calculus import (
     UNKNOWN,
     Declared,
@@ -142,7 +142,7 @@ def find_fibered_knot_of_genus(genus) -> Knot:
     """
     genus = as_scalar(genus)
     if isinstance(genus, Poly):
-        return Knot(f"torus(2, 2*({scalar_str(genus)})+1)", genus, None, fibered=True)
+        return Knot(f"torus(2, 2*({genus})+1)", genus, None, fibered=True)
     _require_count(genus, "knot genus")
     if genus == 0:
         return unknot()
@@ -202,7 +202,7 @@ def _require_surgery_torus(record: ManifoldRecord, torus: str) -> None:
     if not record.has_surface(torus):
         raise ValueError(f"knot surgery needs a designated square-zero torus: no surface named {torus!r}")
     t = record.surface(torus)
-    if as_scalar(t.genus) != 1 or as_scalar(t.self_int) != 0:
+    if t.genus != 1 or t.self_int != 0:
         raise ValueError(f"surgery torus must have genus 1 and square 0, got {t}")
 
 

@@ -406,7 +406,9 @@ _MAX_POWER_BITS = 2**16  # 3^41000 (64,984 bits) takes 0.9 ms, and 7 ms to print
 
 
 def _binary(op: str, left, right):
-    # a sum, difference or product of Fractions can be integral
+    # left and right are normal scalars; the result is put in normal form,
+    # since a sum, product, quotient or power of normal scalars can be an
+    # integral Fraction or a constant Poly (n - n, n/n, n^0)
     if op == "+":
         return as_scalar(left + right)
     if op == "-":
@@ -416,15 +418,12 @@ def _binary(op: str, left, right):
     if op == "/":
         # a symbolic quotient stands for every n >= 2, so its divisor must
         # vanish at none of them, as the numeric build at each n requires
-        if isinstance(right, Poly) and right.degree > 0 and not nonzero(right):
+        if isinstance(right, Poly) and not nonzero(right):
             raise ValueError(f"division by zero: ({right}) is 0 at some n >= 2")
-        return divide_exact(left, right)
-    exponent = as_scalar(right)
-    if isinstance(exponent, Poly) and exponent.degree <= 0:
-        exponent = exponent(0)  # the number a constant polynomial denotes
-    if isinstance(exponent, Poly) or exponent.denominator != 1 or exponent < 0:
+        return as_scalar(divide_exact(left, right))
+    if isinstance(right, Poly) or right.denominator != 1 or right < 0:
         raise ValueError("exponent must be a nonnegative integer")
-    base, exponent = as_scalar(left), int(exponent)
+    base, exponent = left, right
     if isinstance(base, Poly):
         degree, pairs = base.degree * exponent, base.coefficient_pairs()
     else:
@@ -432,10 +431,10 @@ def _binary(op: str, left, right):
     if degree > _MAX_POWER_DEGREE:
         raise ValueError(f"power too large: degree {degree} is above {_MAX_POWER_DEGREE}")
     # the result's bit length, estimated from the base's largest number
-    bits = exponent * max((abs(a) + b).bit_length() for a, b in pairs or [(0, 1)])
+    bits = exponent * max((abs(a) + b).bit_length() for a, b in pairs)
     if bits > _MAX_POWER_BITS:
         raise ValueError(f"power too large: about {bits} bits, above {_MAX_POWER_BITS}")
-    return base**exponent
+    return as_scalar(base**exponent)
 
 
 def _run(program: tuple[_Instr, ...], env: dict, param: Scalar):

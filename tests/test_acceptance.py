@@ -8,7 +8,7 @@ read back from the code under test.
 import random
 from fractions import Fraction
 
-from fourgeo.algebra import N, LaurentPoly, Poly, integer_valued, scalar_eval, scalar_str
+from fourgeo.algebra import N, LaurentPoly, Poly, integer_valued, scalar_eval
 from fourgeo.calculus import (
     ManifoldRecord,
     MarkedSurface,
@@ -54,9 +54,9 @@ def test_criterion_2_cover_block():
     ok = (
         m.c2 == N**7
         and m.c1sq == 3 * N**7 - 4 * N**5
-        and got["regular fiber: euler"] == scalar_str(-3 * N**5 + 3 * N**4)
-        and got["singular fiber: euler"] == scalar_str(-2 * N**5 + 3 * N**4)
-        and got["covered exceptional sphere: euler"] == scalar_str(-2 * N**3 + 4 * N**2)
+        and got["regular fiber: euler"] == str(-3 * N**5 + 3 * N**4)
+        and got["singular fiber: euler"] == str(-2 * N**5 + 3 * N**4)
+        and got["covered exceptional sphere: euler"] == str(-2 * N**3 + 4 * N**2)
     )
     criterion(2, "branched-cover block: Chern numbers and fiber data, exact", ok)
 

@@ -18,11 +18,20 @@ from fourgeo.algebra import (
 )
 from fourgeo.knots import torus_knot_alexander
 
-# Fractions in [-50, 50] with denominator at most 12, built from integer
-# pairs: far cheaper to generate than st.fractions with the same range.
-coefficients = st.integers(min_value=1, max_value=12).flatmap(
-    lambda d: st.integers(min_value=-50 * d, max_value=50 * d).map(lambda k: Fraction(k, d))
-)
+
+def _coefficient(i: int) -> Fraction:
+    # i encodes a denominator d = 1..12 and j = 0..1200; the numerator
+    # (j + 50d) mod (100d + 1) - 50d takes every value in [-50d, 50d], since
+    # 100d + 1 <= 1201, and i = 0 gives 0
+    j, r = divmod(i, 12)
+    d = r + 1
+    return Fraction((j + 50 * d) % (100 * d + 1) - 50 * d, d)
+
+
+# Fractions in [-50, 50] with denominator at most 12, mapped from one drawn
+# integer: far cheaper to generate than st.fractions with the same range,
+# or than a numerator range chosen per denominator with flatmap.
+coefficients = st.integers(min_value=0, max_value=12 * 1201 - 1).map(_coefficient)
 
 polys = st.lists(coefficients, max_size=7).map(lambda cs: Poly(tuple(cs)))
 

@@ -93,6 +93,23 @@ def test_build_bad_riemann_hurwitz_counts_exit_1(capsys, tmp_path, args, message
     assert err == f"{script}: line 1, col 8: {message}\n"
 
 
+def test_build_reads_a_constant_knot_genus_as_its_number(capsys, tmp_path):
+    # n - n + 2 is the number 2 in both modes, so the knot is torus(2,5) and
+    # the ledger is expanded, symbolic or not
+    script = tmp_path / "knot.geo"
+    script.write_text("report knot_surgery(E2, knot_genus=n-n+2)\n")
+    outputs = []
+    for mode in (["--symbolic"], ["--n", "3"]):
+        code, out, err = run(capsys, "build", str(script), *mode)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        outputs.append([line for line in lines if "sw ledger" in line or "knot_surgery" in line])
+    assert outputs[0] == outputs[1] == [
+        "sw ledger: t^4 - t^2 + 1 - t^-2 + t^-4",
+        "  knot_surgery(torus(2,5), torus='fiber')",
+    ]
+
+
 def test_build_constraint_violation_exit_1(capsys, tmp_path):
     script = tmp_path / "clash.geo"
     script.write_text(

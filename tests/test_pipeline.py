@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from fourgeo import pipeline
-from fourgeo.algebra import N, LaurentPoly, integer_valued, scalar_eval, scalar_str
+from fourgeo.algebra import N, LaurentPoly, integer_valued, scalar_eval
 from fourgeo.calculus import bmy_report
 from fourgeo.cli import main
 from fourgeo.knots import distinguish_family, unknot
@@ -33,12 +33,12 @@ def test_cover_block_symbolic():
 
 def test_cover_block_fiber_data():
     got = {c.name: c.got for c in build_cover_block().checks}
-    assert got["regular fiber: euler"] == scalar_str(-3 * N**5 + 3 * N**4)
-    assert got["regular fiber: genus"] == scalar_str(
+    assert got["regular fiber: euler"] == str(-3 * N**5 + 3 * N**4)
+    assert got["regular fiber: genus"] == str(
         1 + Fraction(3, 2) * N**5 - Fraction(3, 2) * N**4
     )
-    assert got["singular fiber: euler"] == scalar_str(-2 * N**5 + 3 * N**4)
-    assert got["covered exceptional sphere: euler"] == scalar_str(-2 * N**3 + 4 * N**2)
+    assert got["singular fiber: euler"] == str(-2 * N**5 + 3 * N**4)
+    assert got["covered exceptional sphere: euler"] == str(-2 * N**3 + 4 * N**2)
     assert build_cover_block().intersections == N**3
 
 

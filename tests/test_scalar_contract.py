@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from fourgeo import geography
-from fourgeo.algebra import Poly, as_scalar, quotient, scalar_eval
+from fourgeo.algebra import N, Poly, as_scalar, quotient, scalar_eval
 from fourgeo.calculus import bmy_report
 from fourgeo.pipeline import build_family
 from fourgeo.record import Record
@@ -90,6 +90,11 @@ def test_as_scalar_normalizes_numbers():
     assert type(as_scalar(Fraction(6, 3))) is int
     assert as_scalar(Fraction(1, 3)) == Fraction(1, 3)
     assert type(as_scalar(7)) is int
+    # a constant polynomial is the number it denotes, and only it
+    assert type(as_scalar(N - N)) is int and as_scalar(N - N) == 0
+    half = as_scalar(Poly.const(Fraction(1, 2)))
+    assert type(half) is Fraction and half == Fraction(1, 2)
+    assert as_scalar(N) is N
     with pytest.raises(TypeError):
         as_scalar(True)
     with pytest.raises(TypeError):
