@@ -140,6 +140,8 @@ def _lowest_terms(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
     # den must be positive
     while nums and not nums[-1]:
         nums.pop()
+    if den == 1:
+        return tuple(nums), 1
     g = math.gcd(den, *nums)
     if g != 1:
         return tuple([c // g for c in nums]), den // g
@@ -220,7 +222,18 @@ class Poly(Record):
             [a * s + b * t for a, b in zip_longest(self._nums, other._nums, fillvalue=0)], den
         )
 
+    def _plus_int(self, k: int, sign: int) -> "Poly":
+        # k + sign * self, for an int k: only the constant numerator changes
+        nums = [-c for c in self._nums] if sign < 0 else list(self._nums)
+        if nums:
+            nums[0] += k * self._den
+        else:
+            nums.append(k)
+        return Poly._reduced(nums, self._den)
+
     def __add__(self, other):
+        if type(other) is int:
+            return self._plus_int(other, 1)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -232,22 +245,31 @@ class Poly(Record):
         return Poly._reduced([-c for c in self._nums], self._den)
 
     def __sub__(self, other):
+        if type(other) is int:
+            return self._plus_int(-other, 1)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return self._plus(o, -1)
 
     def __rsub__(self, other):
+        if type(other) is int:
+            return self._plus_int(other, -1)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return o._plus(self, -1)
 
     def __mul__(self, other):
+        if type(other) is int:
+            return Poly._reduced([c * other for c in self._nums], self._den)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         a, b = self._nums, o._nums
+        if len(a) > len(b):
+            a, b = b, a
+        # the shorter factor in the outer loop: p * (n - k) is two passes
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
@@ -258,7 +280,7 @@ class Poly(Record):
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
+        if type(exponent) is not int or exponent < 0:
             raise ValueError(f"polynomial power must be a nonnegative integer, got {exponent!r}")
         result = Poly._reduced([1], 1)
         base = self
@@ -311,14 +333,24 @@ class Poly(Record):
         ((0,), 1)).  Since p(2 + m) = sum_k D^k p(2) * C(m, k) for every
         integer m, this one table decides integer-valuedness on Z and
         settles the sign of p on n >= 2 whenever diffs[1:] are all
-        nonnegative.  Computed by Horner on the integer numerators.
+        nonnegative.  Computed on the integer numerators in Newton's form
+        p = sum_k a_k (n - 2)(n - 3)...(n - k - 1), where D^k p(2) = k! a_k:
+        a_k is the remainder of dividing the previous quotient (p itself
+        for k = 0) by n - k - 2, one synthetic division each, so the table
+        takes (d + 1)(d + 2) / 2 multiply-adds for degree d.
         """
-        nums = self._nums
-        values = [_horner(nums, x) for x in range(2, 3 + max(self.degree, 0))]
+        cs = self._nums[::-1] or (0,)  # highest power first
         diffs = []
-        while values:
-            diffs.append(values[0])
-            values = [b - a for a, b in zip(values, values[1:])]
+        factorial = 1
+        for x in range(2, len(cs) + 2):
+            q = []
+            acc = 0
+            for c in cs:
+                acc = acc * x + c
+                q.append(acc)
+            diffs.append(q.pop() * factorial)
+            factorial *= x - 1
+            cs = q
         return tuple(diffs), self._den
 
     def __call__(self, x: int) -> int | Fraction:

@@ -137,11 +137,11 @@ class ManifoldRecord(Record):
 
     @cached
     def c1sq(self) -> Scalar:
-        return 3 * self.sigma + 2 * self.e
+        return as_scalar(3 * self.sigma + 2 * self.e)
 
     @cached
     def chi_h(self) -> Scalar:
-        return quotient(self.sigma + self.e, 4)
+        return as_scalar(quotient(self.sigma + self.e, 4))
 
     def surface(self, name: str) -> MarkedSurface:
         for key, s in self.surfaces:
@@ -414,7 +414,7 @@ def bmy_report(record: ManifoldRecord) -> BmyReport:
     """
     chi = record.chi_h
     c1 = record.c1sq
-    gap = 9 * chi - c1
+    gap = as_scalar(9 * chi - c1)
     symbolic = isinstance(chi, Poly) or isinstance(c1, Poly)
     if symbolic:
         chi_p = chi if isinstance(chi, Poly) else Poly.const(chi)

@@ -36,6 +36,7 @@ from . import blocks
 from .algebra import (
     N,
     LaurentPoly,
+    Poly,
     Scalar,
     at_least,
     format_quotient,
@@ -338,7 +339,11 @@ def verify_formulas(n_max: int = 50) -> list[CheckResult]:
     # Claims about every n: at_least(p, 1) is p(n) >= 1 (on integer values,
     # > 0) for every integer n >= 2, and p.shift(1) starts it at n = 3.
     # D(n) > 0 and chi_h > 0 give c1^2/chi_h at n + 1 above its value at n.
-    sigma, chi_h, c1sq = man.sigma, man.chi_h, man.c1sq
+    # A drifted family can make one of them constant, a number, so each is
+    # taken as a Poly.
+    sigma, chi_h, c1sq = (
+        x if isinstance(x, Poly) else Poly.const(x) for x in (man.sigma, man.chi_h, man.c1sq)
+    )
     climb = c1sq.shift(1) * chi_h - c1sq * chi_h.shift(1)  # D(n)
     checks += [
         _check("chi_h >= 1 for every n >= 2", True, at_least(chi_h, 1)),

@@ -392,6 +392,10 @@ _KIND_NAMES = {
 }
 
 
+# the kinds of value that are not scalars
+_NOT_SCALAR = (ManifoldRecord, MarkedSurface)
+
+
 def _kind_of(value) -> str:
     if isinstance(value, ManifoldRecord):
         return "manifold"
@@ -470,7 +474,7 @@ def _run(program: tuple[_Instr, ...], env: dict, param: Scalar):
                 message = err.args[0] if err.args else str(err)
                 raise ScriptError(line, col, str(message)) from err
         elif op == "neg":
-            if _kind_of(stack[-1]) != "scalar":
+            if isinstance(stack[-1], _NOT_SCALAR):
                 raise ScriptError(line, col, "negation applies to scalars only")
             stack[-1] = -stack[-1]
         elif op == "fail":
@@ -478,7 +482,7 @@ def _run(program: tuple[_Instr, ...], env: dict, param: Scalar):
         else:
             right = stack.pop()
             left = stack[-1]
-            if _kind_of(left) != "scalar" or _kind_of(right) != "scalar":
+            if isinstance(left, _NOT_SCALAR) or isinstance(right, _NOT_SCALAR):
                 raise ScriptError(line, col, f"'{op}' applies to scalars only")
             try:
                 stack[-1] = _binary(op, left, right)

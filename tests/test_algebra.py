@@ -112,6 +112,14 @@ def test_eval_only_at_an_int():
             N(x)
 
 
+def test_power_only_by_a_nonnegative_int():
+    assert N**0 == 1 and N**1 == N
+    # a bool is no scalar here either: N ** True is not N
+    for e in (True, False, -1, Fraction(2), 2.0):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            N**e
+
+
 def laurent(d):
     return LaurentPoly(d)
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from fourgeo.algebra import (
     LaurentPoly,
     Poly,
+    _horner,
     at_least,
     format_quotient,
     integer_valued,
@@ -295,6 +296,60 @@ def test_wide_laurent_matches_dict_model(a, b, e):
         assert x.is_zero() and x.coefficients == ()
     assert x.is_symmetric() == (_pairs(a) == _pairs(mirror))
     assert (x + LaurentPoly(mirror)).is_symmetric()
+
+
+def _reference_newton_table(p: Poly) -> tuple[tuple[int, ...], int]:
+    # the table as it was computed before synthetic division: the numerators
+    # at n = 2 .. deg p + 2 by Horner, then their forward differences
+    values = [_horner(p._nums, x) for x in range(2, 3 + max(p.degree, 0))]
+    diffs = []
+    while values:
+        diffs.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    return tuple(diffs), p._den
+
+
+# small fractions with denominators up to 12, and integers up to 10^30
+wide_coefficients = st.one_of(coefficients, st.integers(min_value=-10**30, max_value=10**30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=61).flatmap(
+        lambda size: st.lists(wide_coefficients, min_size=size, max_size=size)
+    )
+)
+@example([])  # zero
+@example([7])
+@example([Fraction(-5, 6)])
+@example([Fraction(1, 2), -3, 0, Fraction(-7, 12)])
+@example([(-1) ** k * 10**30 for k in range(61)])  # degree 60
+@example([Fraction(k - 30, 11) for k in range(61)])  # degree 60, den 11
+def test_newton_table_matches_the_differences_of_values(cs):
+    p = Poly(tuple(cs))
+    assert p.newton_table == _reference_newton_table(p)
+
+
+@RING_CASES
+@given(polys, st.integers(min_value=-10**6, max_value=10**6))
+@example(Poly(), 0)
+@example(Poly((3,)), -3)
+@example(Poly((Fraction(1, 2), Fraction(3, 4))), 2)
+def test_int_operands_act_as_constant_polys(p, k):
+    c = Poly.const(k)
+    for got, expected in (
+        (p + k, p + c), (k + p, c + p), (p - k, p - c),
+        (k - p, c - p), (k * p, c * p), (p * k, p * c),
+    ):
+        assert _same(got, expected)
+        assert _in_lowest_terms(got)
+    for flag in (True, False):
+        for apply in (
+            lambda: p + flag, lambda: flag + p, lambda: p - flag,
+            lambda: flag - p, lambda: p * flag, lambda: flag * p,
+        ):
+            with pytest.raises(TypeError):
+                apply()
 
 
 def test_torus_knot_alexander_is_canonical():

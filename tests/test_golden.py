@@ -12,6 +12,9 @@ from fourgeo.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 K3_BLOCK = str(GOLDEN / "k3_block.geo")
+# bench/workloads.generate_script(random.Random(32), 32, 3, True): every
+# script operation, arguments of degree up to 32, results up to degree 48
+GENERATED = str(GOLDEN / "generated_degree32.geo")
 
 
 @pytest.mark.parametrize(
@@ -23,6 +26,7 @@ K3_BLOCK = str(GOLDEN / "k3_block.geo")
         (["build", K3_BLOCK, "--n", "2"], "k3_block_n2.txt"),
         (["build", K3_BLOCK, "--n", "8"], "k3_block_n8.txt"),
         (["build", K3_BLOCK, "--symbolic"], "k3_block_symbolic.txt"),
+        (["build", GENERATED, "--symbolic"], "generated_degree32_symbolic.txt"),
     ],
 )
 def test_cli_output_is_byte_identical(capsys, fresh, argv, expected):

@@ -1,6 +1,7 @@
 """The numeric half of the Scalar contract: at a concrete n every number a
 build holds is an int when integral and a Fraction only when not, never a
-float, and it equals the symbolic family evaluated at n."""
+float, and it equals the symbolic family evaluated at n.  A symbolic record's
+derived invariants are normal too: a constant is its number, not a Poly."""
 
 from fractions import Fraction
 from pathlib import Path
@@ -9,8 +10,8 @@ import pytest
 
 from fourgeo import geography
 from fourgeo.algebra import N, Poly, as_scalar, quotient, scalar_eval
-from fourgeo.calculus import bmy_report
-from fourgeo.pipeline import build_family
+from fourgeo.calculus import ManifoldRecord, bmy_report
+from fourgeo.pipeline import build_family, build_k3_block
 from fourgeo.record import Record
 from fourgeo.script import evaluate, parse
 
@@ -84,6 +85,35 @@ def test_scan_rows_hold_ints():
     for n, record, report in geography.scan(2, 30):
         _assert_matches_symbolic(record, SYMBOLIC.manifold, n, f"scan row {n}")
         _assert_bmy_scalars(report, record, f"scan row {n}")
+
+
+def _assert_normal(x, where):
+    # the normal form of as_scalar: a Poly only when its degree is positive
+    if isinstance(x, Poly):
+        assert x.degree > 0, (where, x)
+    else:
+        assert type(x) is int or (type(x) is Fraction and x.denominator != 1), (where, x)
+
+
+@pytest.mark.parametrize("where, record", [
+    ("family", SYMBOLIC.manifold),
+    ("cover block", SYMBOLIC.cover.manifold),
+    # chi_h = 2 in these two
+    ("K3 block", build_k3_block().manifold),
+    ("blowup(E2, k=n)", evaluate(parse("report blowup(E2, k=n)\n"))),
+    ("kn.geo", evaluate(parse(KN.read_text(encoding="utf-8")))),
+    # 9*chi_h - c1^2 = -5, though chi_h and c1^2 have degree 1
+    ("e = 3n - 20, sigma = n", ManifoldRecord(3 * N - 20, N)),
+    ("build_family(3)", build_family(3).manifold),
+])
+def test_derived_invariants_are_normal(where, record):
+    for key, value in record.invariants().items():
+        _assert_normal(value, f"{where}.{key}")
+    try:
+        report = bmy_report(record)
+    except ValueError:  # c1^2 outgrows chi_h: no report, so no gap
+        return
+    _assert_normal(report.gap, f"bmy_report({where}).gap")
 
 
 def test_as_scalar_normalizes_numbers():
