@@ -52,7 +52,8 @@ from __future__ import annotations
 
 import math
 import sys
-from itertools import compress, zip_longest
+from itertools import compress, repeat, zip_longest
+from operator import getitem
 from typing import TYPE_CHECKING, Mapping, Sequence, Union
 
 from .record import Record, cached
@@ -88,36 +89,73 @@ def _fraction(numerator: int, denominator: int = 1) -> Fraction:
     return Fraction(numerator, denominator)
 
 
+# Per symbol, the unit terms of every exponent e from bottom to top, as
+# (bottom, top, terms) with terms[top - e] = ("", " + x", " - x"), where x
+# is symbol^e, or "1" and symbol at e = 0 and 1: the terms of coefficients
+# 0, 1 and -1 (the last read by index -1).  Each growth widens the range
+# by at least half its width on every side it grows, so the strings for a
+# run of ever wider ledgers cost time and memory linear in the widest.  A growth is stored whole, never edited in
+# place.
+_UNIT_TERMS: dict[str, tuple[int, int, list[tuple[str, str, str]]]] = {}
+
+
+def _unit_terms(symbol: str, low: int, high: int) -> tuple[int, list[tuple[str, str, str]]]:
+    # (top, terms) as in _UNIT_TERMS, for a range that covers [low, high]
+    bottom, top, terms = _UNIT_TERMS.get(symbol, (0, -1, []))
+    if low >= bottom and high <= top:
+        return top, terms
+    half = (top - bottom + 2) // 2
+    if high > top:
+        top = max(high, top + half)
+    if low < bottom:
+        bottom = min(low, bottom - half)
+    store = top - bottom < 4 * (high - low) + 64
+    if not store:  # far from the stored range, as t^(10^9): these terms only
+        bottom, top = low, high
+    powers = list(map(f"{symbol}^".__add__, map(str, range(top, bottom - 1, -1))))
+    for e, x in ((0, "1"), (1, symbol)):
+        if bottom <= e <= top:
+            powers[top - e] = x
+    terms = list(zip(repeat(""), map(" + ".__add__, powers), map(" - ".__add__, powers)))
+    if store:
+        _UNIT_TERMS[symbol] = bottom, top, terms
+    return top, terms
+
+
 def _format_dense(low: int, cs: Sequence[int], symbol: str, den: int = 1) -> str:
     """Render sum(cs[i] / den * symbol^(low + i)), for ints cs and den > 0,
     highest power first and zero coefficients skipped, as in
     "-n^7 + 3*n - 1/3" or "t - 1 + t^-1"; "0" when cs is empty.  cs[-1] must
     be nonzero.  A coefficient prints in lowest terms, reduced by one gcd."""
-    parts = []
-    plus, minus = f" + {symbol}^", f" - {symbol}^"
+    high = low + len(cs) - 1
     # a polynomial in symbol^2, such as a ledger Delta(t^2), skips its odd
     # offsets
     step = 1 if any(cs[1::2]) else 2
     rev = cs[::-step]
-    for e, c in compress(zip(range(low + len(cs) - 1, low - 1, -step), rev), rev):
-        # +-symbol^e, nearly every term of a knot polynomial, first
-        if c == den and e != 0 and e != 1:
-            parts.append(f"{plus}{e}")
-        elif c == -den and e != 0 and e != 1:
-            parts.append(f"{minus}{e}")
-        else:
-            a = abs(c)
-            if den != 1:
-                g = math.gcd(a, den)
-                a = a // g if g == den else f"{a // g}/{den // g}"
-            if e == 0:
-                term = str(a)
-            elif a == 1:
-                term = symbol
+    top, terms = _unit_terms(symbol, low, high)
+    units = terms[top - high : top - low + 1 : step]
+    if den == 1 and max(rev, default=0) <= 1 and min(rev, default=0) >= -1:
+        # every coefficient 0 or +-1, as in most knot polynomials: each
+        # term is its coefficient's entry
+        text = "".join(map(getitem, units, rev))
+    else:
+        parts = []
+        for e, c, unit in compress(zip(range(high, low - 1, -step), rev, units), rev):
+            if c == den:
+                parts.append(unit[1])
+            elif c == -den:
+                parts.append(unit[2])
             else:
-                term = f"{a}*{symbol}" if e == 1 else f"{a}*{symbol}^{e}"
-            parts.append(f" - {term}" if c < 0 else f" + {term}")
-    text = "".join(parts)
+                a = abs(c)
+                if den != 1:
+                    g = math.gcd(a, den)
+                    a = a // g if g == den else f"{a // g}/{den // g}"
+                if e == 0:
+                    term = str(a)
+                else:
+                    term = f"{a}*{symbol}" if e == 1 else f"{a}*{symbol}^{e}"
+                parts.append(f" - {term}" if c < 0 else f" + {term}")
+        text = "".join(parts)
     if not text:
         return "0"
     return text[3:] if text[1] == "+" else f"-{text[3:]}"

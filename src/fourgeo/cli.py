@@ -22,7 +22,7 @@ from typing import NoReturn
 
 from . import geography
 from .calculus import ManifoldRecord, MarkedSurface
-from .pipeline import exotic_family, verify_formulas
+from .pipeline import exotic_stream, verify_formulas
 from .script import ScriptError, evaluate, parse
 
 
@@ -112,26 +112,28 @@ def _cmd_geography(args) -> int:
 
 
 def _cmd_exotic(args) -> int:
-    report = exotic_family(args.n, args.count)
-    base, family = report.base, report.family
+    # each entry is printed as it is built; every argument is checked first
+    base, knots, stream = exotic_stream(args.n, args.count)
     print(f"base manifold (n = {args.n}): e = {base.e}, sigma = {base.sigma}, "
           f"c1^2 = {base.c1sq}, chi_h = {base.chi_h}")
-    print(f"surgeries along the surviving square-zero torus: "
-          f"{len(family.entries)} knots")
-    for entry in family.entries:
+    print(f"surgeries along the surviving square-zero torus: {len(knots)} knots")
+    symplectic, pairs = 0, []
+    for j, (entry, earlier) in enumerate(stream):
+        symplectic += entry.symplectic_candidate
+        pairs += [(i, j) for i in earlier]
         kind = "symplectic" if entry.symplectic_candidate else "non-symplectic candidate"
         monic = "monic" if entry.monic else "non-monic"
         note = f"  [{entry.note}]" if entry.note else ""
         print(f"  {entry.knot}: {kind}, {monic}, sw = {entry.sw}{note}")
-    print(f"symplectic candidates: {len(family.symplectic())}; "
-          f"non-symplectic candidates: {len(family.non_symplectic())}")
-    if family.pairwise_distinct:
+    print(f"symplectic candidates: {symplectic}; "
+          f"non-symplectic candidates: {len(knots) - symplectic}")
+    if not pairs:
         print("all Seiberg-Witten values pairwise distinct: "
               "the results are pairwise non-diffeomorphic")
         return 0
     print("COLLISION among Seiberg-Witten values:", file=sys.stderr)
-    for a, b in family.collisions:
-        print(f"  {a} vs {b}", file=sys.stderr)
+    for i, j in sorted(pairs):
+        print(f"  {knots[i].descriptor} vs {knots[j].descriptor}", file=sys.stderr)
     return 1
 
 

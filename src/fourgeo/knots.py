@@ -13,8 +13,10 @@ builds and validates its Alexander polynomial the first time it is read.
 Only printing and comparing a ledger expand it, and only for knots of genus
 up to ALEXANDER_GENUS_CAP; a larger or symbolic genus (the gluing genus
 grows like 3n^5) prints as a Delta[...](t^2) factor and cannot be compared.
-Comparing a family of surgeries on one base (distinguish_family) checks the
-base and expands its ledger once, then multiplies in each knot's factor.
+A family of surgeries on one base (family_stream) checks the base and
+expands its ledger once, then multiplies in each knot's factor and yields
+that entry; it keeps a hash per ledger, not the ledger, so its memory is
+bounded by one ledger.  distinguish_family collects the whole stream.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import math
 import operator
 from itertools import accumulate
+from typing import Iterable, Iterator
 
 from .algebra import LaurentPoly, Poly, Scalar, as_scalar
 from .calculus import (
@@ -63,6 +66,11 @@ class Knot(Record):
 
     @cached
     def alexander(self) -> LaurentPoly:
+        return self._built_alexander()
+
+    def _built_alexander(self) -> LaurentPoly:
+        # the validated polynomial, built anew on each call: a stream of
+        # knots reads it without keeping it
         a = self.polynomial
         if a is None:
             raise ValueError(f"no Alexander polynomial at symbolic genus: {self.descriptor}")
@@ -82,10 +90,6 @@ class Knot(Record):
     def monic(self) -> bool:
         """True iff the (symmetric) Alexander polynomial has top coefficient +-1."""
         return abs(self.alexander.coefficients[-1]) == 1
-
-    def is_trivial(self) -> bool:
-        # a symmetric polynomial with the one coefficient 1 is 1
-        return self.alexander.coefficients == (1,)
 
 
 def _divide_by_t_power_minus_1(coeffs: list[int], k: int) -> list[int]:
@@ -272,25 +276,30 @@ class FamilyReport(Record):
 _UNEXPANDED = "cannot compare an unexpanded Alexander polynomial: "
 
 
-def distinguish_family(
-    base: ManifoldRecord, knots: list[Knot], torus: str = "fiber"
-) -> FamilyReport:
-    """Surger the base record along every knot and compare the ledgers.
+def family_stream(
+    base: ManifoldRecord, knots: Iterable[Knot], torus: str = "fiber"
+) -> Iterator[tuple[FamilyEntry, tuple[int, ...]]]:
+    """Surger the base record along each knot in turn: yield its FamilyEntry
+    and the indices of the earlier entries whose ledger equals its own.
 
     Each entry is what knot_surgery(base, knot, torus) and SWLedger.expand
     give, without building the surgered record: knot_surgery's checks on
-    the base run once, at the first knot (so an empty list checks nothing),
-    and the base ledger is expanded once; each knot then multiplies it by
-    its own Delta_K(t^2).  A base or knot factor that stays unexpanded
-    (symbolic genus, or above ALEXANDER_GENUS_CAP) cannot be compared and
-    raises.  The entries are partitioned into symplectic candidates
-    (records that knot_surgery leaves symplectic: fibered knots on a
-    symplectic base) and the rest; collisions lists every pair of equal
-    ledgers, in index order.
+    the base run once, at the first knot (so an empty list checks
+    nothing), and the base ledger is expanded once; each knot then
+    multiplies it by its own Delta_K(t^2).  A base or knot factor that
+    stays unexpanded (symbolic genus, or above ALEXANDER_GENUS_CAP) cannot
+    be compared and raises.  A symplectic candidate is a record that
+    knot_surgery leaves symplectic: a fibered knot on a symplectic base.
+
+    Only the hash of each ledger is kept, with the first knot of every
+    class of equal ledgers; on a hash match that knot's ledger is built
+    again and compared exactly.  No ledger and no torus knot's polynomial
+    outlives its entry, so memory is bounded by one ledger (and the knots
+    the caller holds).
     """
-    entries = []
     value = None  # the base ledger, expanded
-    for knot in knots:
+    classes: dict[int, list[tuple[Knot, list[int]]]] = {}  # hash -> (first knot, indices)
+    for j, knot in enumerate(knots):
         if value is None:
             _require_surgery_torus(base, torus)
         # as in knot_surgery, the knot's flag comes before the ledger
@@ -301,14 +310,33 @@ def distinguish_family(
                 raise ValueError(_UNEXPANDED + factored[0].descriptor)
         if not _expands(knot):
             raise ValueError(_UNEXPANDED + knot.descriptor)
-        sw = value * knot.alexander.substitute_square()
-        note = "trivial Alexander polynomial, no exotic pair" if knot.is_trivial() else ""
-        entries.append(FamilyEntry(knot.descriptor, sw, knot.monic, symplectic.is_true(), note))
-    earlier: dict[LaurentPoly, list[int]] = {}
-    pairs = []
-    for j, entry in enumerate(entries):
-        same = earlier.setdefault(entry.sw, [])
-        pairs += [(i, j) for i in same]
-        same.append(j)
+        alexander = knot._built_alexander()
+        sw = value * alexander.substitute_square()
+        same = classes.setdefault(hash(sw), [])
+        indices = next(
+            (ix for first, ix in same if value * first._built_alexander().substitute_square() == sw),
+            None,
+        )
+        if indices is None:
+            indices = []
+            same.append((knot, indices))
+        earlier = tuple(indices)
+        indices.append(j)
+        # Knot.monic, read off the polynomial at hand; a symmetric
+        # polynomial with the one coefficient 1 is 1
+        cs = alexander.coefficients
+        note = "trivial Alexander polynomial, no exotic pair" if cs == (1,) else ""
+        yield FamilyEntry(knot.descriptor, sw, abs(cs[-1]) == 1, symplectic.is_true(), note), earlier
+
+
+def distinguish_family(
+    base: ManifoldRecord, knots: list[Knot], torus: str = "fiber"
+) -> FamilyReport:
+    """The whole of family_stream(base, knots, torus): every entry, and
+    every pair of equal ledgers in index order."""
+    entries, pairs = [], []
+    for j, (entry, earlier) in enumerate(family_stream(base, knots, torus)):
+        entries.append(entry)
+        pairs += [(i, j) for i in earlier]
     collisions = tuple((entries[i].knot, entries[j].knot) for i, j in sorted(pairs))
     return FamilyReport(tuple(entries), collisions)

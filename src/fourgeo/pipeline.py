@@ -32,6 +32,8 @@ table's own chi_h/c2/c1^2 values and the closed form both give 337.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from . import blocks
 from .algebra import (
     N,
@@ -62,8 +64,11 @@ from .calculus import (
 )
 from .knots import (
     ALEXANDER_GENUS_CAP,
+    FamilyEntry,
+    Knot,
     SWLedger,
     distinguish_family,
+    family_stream,
     find_fibered_knot_of_genus,
     knot_surgery,
     nonfibered_nonmonic_family,
@@ -371,6 +376,17 @@ class ExoticReport(Record):
     family: FamilyReport
 
 
+def exotic_stream(
+    n: int, count: int
+) -> tuple[ManifoldRecord, list[Knot], Iterator[tuple[FamilyEntry, tuple[int, ...]]]]:
+    """The base and knots of exotic_family(n, count), and family_stream
+    over them: its entries one at a time, each with the indices of the
+    earlier entries whose ledger equals its own.  Every argument is checked
+    before this returns, and the stream raises nothing on this base."""
+    base, knots = _exotic_base_and_knots(n, count)
+    return base, knots, family_stream(base, knots, torus="surviving torus")
+
+
 def exotic_family(n: int, count: int) -> ExoticReport:
     """Surger the n-th glued manifold along `count` torus knots and `count`
     twist knots; all 2*count ledgers must be pairwise distinct, the torus
@@ -381,6 +397,11 @@ def exotic_family(n: int, count: int) -> ExoticReport:
     fresh ledger relative to that class is declared nonzero, as the base is
     symplectic, and normalized to 1.
     """
+    base, knots = _exotic_base_and_knots(n, count)
+    return ExoticReport(base, distinguish_family(base, knots, torus="surviving torus"))
+
+
+def _exotic_base_and_knots(n: int, count: int) -> tuple[ManifoldRecord, list[Knot]]:
     if not isinstance(count, int) or isinstance(count, bool) or count < 1:
         raise ValueError(f"count must be a positive integer, got {count}")
     if count > ALEXANDER_GENUS_CAP:
@@ -393,4 +414,4 @@ def exotic_family(n: int, count: int) -> ExoticReport:
     base = base.with_surface("surviving torus", MarkedSurface(1, 0))
     knots = [torus_knot(2, 2 * k + 1) for k in range(1, count + 1)]
     knots += nonfibered_nonmonic_family(count)
-    return ExoticReport(base, distinguish_family(base, knots, torus="surviving torus"))
+    return base, knots

@@ -3,14 +3,17 @@ canonical forms, and the exact integrality and sign decisions)."""
 
 import math
 from fractions import Fraction
+from itertools import compress
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fourgeo import algebra
 from fourgeo.algebra import (
     LaurentPoly,
     Poly,
+    _format_dense,
     _horner,
     at_least,
     format_quotient,
@@ -500,3 +503,64 @@ def test_poly_prints_as_the_fraction_formatter(p):
     # the ^ size estimate reads these pairs in place of the Fractions
     assert p.coefficient_pairs() == [(c.numerator, c.denominator) for c in p.coeffs]
 
+
+
+def _reference_format_dense(low, cs, symbol, den=1):
+    # _format_dense as it was before its unit terms came from a memo: an
+    # f-string per term
+    parts = []
+    plus, minus = f" + {symbol}^", f" - {symbol}^"
+    step = 1 if any(cs[1::2]) else 2
+    rev = cs[::-step]
+    for e, c in compress(zip(range(low + len(cs) - 1, low - 1, -step), rev), rev):
+        if c == den and e != 0 and e != 1:
+            parts.append(f"{plus}{e}")
+        elif c == -den and e != 0 and e != 1:
+            parts.append(f"{minus}{e}")
+        else:
+            a = abs(c)
+            if den != 1:
+                g = math.gcd(a, den)
+                a = a // g if g == den else f"{a // g}/{den // g}"
+            if e == 0:
+                term = str(a)
+            elif a == 1:
+                term = symbol
+            else:
+                term = f"{a}*{symbol}" if e == 1 else f"{a}*{symbol}^{e}"
+            parts.append(f" - {term}" if c < 0 else f" + {term}")
+    text = "".join(parts)
+    if not text:
+        return "0"
+    return text[3:] if text[1] == "+" else f"-{text[3:]}"
+
+
+@st.composite
+def _dense_calls(draw):
+    # (low, cs, symbol, den) as Poly and LaurentPoly pass them: near e = 0
+    # and 1 or far from them, and sometimes a polynomial in symbol^2.  Each
+    # coefficient is read off one drawn byte: two in three are 0 or +-den,
+    # the others run from -43 to 42.
+    symbol = draw(st.sampled_from("tn"))
+    den = draw(st.sampled_from([1, 1, 2, 3, 12]))
+    low = draw(st.one_of(st.integers(-150, 150), st.integers(-10**12, 10**12)))
+    units = (0, den, -den)
+    cs = [units[b % 3] if b < 170 else b - 213 for b in draw(st.binary(max_size=60))]
+    if draw(st.booleans()):
+        cs = [x for c in cs for x in (0, c)][1:]
+    while cs and not cs[-1]:
+        cs.pop()
+    return (low if cs else 0), tuple(cs), symbol, den
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_dense_calls(), min_size=1, max_size=8))
+# grown upward, then downward, then upward past the last growth, then read
+# inside the range; then a range far above it, which is not stored
+@example([(0, (1,) * 5, "t", 1), (-40, (-1, 0) * 10 + (1,), "t", 1), (-3, (1, -1) * 30 + (1,), "t", 1),
+          (2, (-1, 1, 1), "t", 1), (10**9, (1, 2, 1), "t", 1), (0, (1, 1), "t", 1)])
+@example([(0, (2, 0, -2, 3, 2), "n", 2), (-20, (1, 0, 1), "n", 1), (0, (-3, 0, 3), "n", 3)])
+def test_memoized_unit_terms_print_as_the_formatter_before_them(calls):
+    algebra._UNIT_TERMS.clear()  # each example grows the memo from empty
+    for low, cs, symbol, den in calls:
+        assert _format_dense(low, cs, symbol, den) == _reference_format_dense(low, cs, symbol, den)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from fourgeo import cli, pipeline
 from fourgeo.algebra import N
 from fourgeo.cli import main
+from fourgeo.knots import torus_knot
 from fourgeo.pipeline import CheckResult
 from fourgeo.record import replace
 
@@ -347,6 +348,35 @@ def test_exotic_rejects_count_above_genus_cap(capsys, monkeypatch):
     assert err == "error: count must be at most ALEXANDER_GENUS_CAP = 50000, got 50001\n"
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["--n", "3", "--count", "0"], "error: count must be a positive integer, got 0\n"),
+    (["--n", "3", "--count", "50001"],
+     "error: count must be at most ALEXANDER_GENUS_CAP = 50000, got 50001\n"),
+    (["--n", "1", "--count", "4"], _DEGENERATE),
+])
+def test_exotic_rejects_its_arguments_before_printing(capsys, fresh, argv, err):
+    argv = ["exotic", *argv]
+    assert run(capsys, *argv) == (2, "", err)
+    assert fresh(*argv) == (2, b"", err)
+
+
+def test_exotic_reports_collisions_in_index_order(capsys, monkeypatch):
+    # twist knots replaced by the torus knots in reverse: entry k collides
+    # with entry 2 * count - 1 - k
+    monkeypatch.setattr(pipeline, "nonfibered_nonmonic_family",
+                        lambda count: [torus_knot(2, 2 * k + 1) for k in range(count, 0, -1)])
+    code, out, err = run(capsys, "exotic", "--n", "3", "--count", "3")
+    assert code == 1
+    assert out.splitlines()[1:2] + out.splitlines()[-1:] == [
+        "surgeries along the surviving square-zero torus: 6 knots",
+        "symplectic candidates: 6; non-symplectic candidates: 0",
+    ]
+    assert err == ("COLLISION among Seiberg-Witten values:\n"
+                   "  torus(2,3) vs torus(2,3)\n"
+                   "  torus(2,5) vs torus(2,5)\n"
+                   "  torus(2,7) vs torus(2,7)\n")
+
+
 def _signed_sum(terms):
     # (exponent, coefficient) pairs, highest exponent first, printed the
     # way the CLI prints a ledger (exponents here are even, never 1)
@@ -517,8 +547,14 @@ def test_argparse_reads_every_other_command_line(argv):
 
 # -- verify-paper --json without json --------------------------------------------
 
-_TEXT = st.text(st.one_of(st.characters(blacklist_categories=("Cs",)),
-                          st.sampled_from('"\\\x00\x1f\x7f\u00e9\u20ac\U0001f600')))
+# Strings of any code points but the surrogates U+D800..U+DFFF (category
+# Cs), half of them with a run of characters that json.dumps escapes.  Text
+# over the union of both alphabets gives the same strings, but draws each
+# character through one_of; text over st.characters alone draws a whole
+# string at once, and this strategy takes a third of the time.
+_ANY_TEXT = st.text(st.characters(blacklist_categories=("Cs",)))
+_ESCAPED_RUN = st.text(st.sampled_from('"\\\x00\x1f\x7f\u00e9\u20ac\U0001f600'), min_size=1)
+_TEXT = st.one_of(_ANY_TEXT, st.tuples(_ANY_TEXT, _ESCAPED_RUN, _ANY_TEXT).map("".join))
 _CHECKS = st.lists(st.builds(CheckResult, _TEXT, _TEXT, _TEXT, st.booleans(), _TEXT), max_size=4)
 _ESCAPED = '"\\\n\r\t\b\f\x00\x1f\x7f ~\u00e9\u20ac\U0001f600'
 
@@ -545,6 +581,24 @@ def test_exotic_at_scale_in_a_fresh_process_gives_the_in_process_bytes(capsys, f
     assert (code, err) == (0, "")
     assert out == captured.out.encode("utf-8")  # many buffer flushes
     assert out.count(b"\n") == 2004
+
+
+def _peak_rss_kib(*argv):
+    # tests/peak_rss.py forks the command from a small interpreter: a child
+    # forked from this process would start at its size, over 100 MB late in
+    # the suite, and hide the command's own peak
+    result = subprocess.run([sys.executable, str(REPO / "tests" / "peak_rss.py"), *argv],
+                            env=FRESH_ENV, capture_output=True, text=True, timeout=120)
+    code, kib = map(int, result.stdout.split())
+    assert (code, result.stderr) == (0, "")
+    return kib
+
+
+def test_exotic_peak_memory_barely_grows_with_the_count():
+    # one ledger alive at a time: C = 1000 keeps about 4000 terms, not 10^6
+    small, large = (_peak_rss_kib("-m", "fourgeo.cli", "exotic", "--n", "3", "--count", c)
+                    for c in ("25", "1000"))
+    assert large - small <= 8 * 1024
 
 
 @pytest.mark.parametrize("argv, want", [

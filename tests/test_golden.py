@@ -1,9 +1,11 @@
 """Byte-for-byte CLI outputs, captured before the Seiberg-Witten ledger was
 kept in factored form (verify-paper, exotic, build) and before geography
-scans evaluated the symbolic family instead of building each member; any
-change to them is a regression.  Each command runs in process through
+scans evaluated the symbolic family instead of building each member, and
+(as digests) before exotic printed each entry as it was built; any change
+to them is a regression.  Each command runs in process through
 main() and in a fresh interpreter through the process entry point."""
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -34,6 +36,21 @@ def test_cli_output_is_byte_identical(capsys, fresh, argv, expected):
     assert main(argv) == 0
     assert capsys.readouterr().out.encode("utf-8") == golden
     assert fresh(*argv) == (0, golden, "")
+
+
+# sha256 of `exotic --n 3 --count C` stdout, captured before the report was
+# streamed, in the `sha256sum` format that CI checks with `sha256sum -c`
+EXOTIC_SHA256 = [line.split() for line in (GOLDEN / "exotic_n3_sha256.txt").read_text().splitlines()]
+
+
+@pytest.mark.parametrize("digest, name", EXOTIC_SHA256, ids=[name for _, name in EXOTIC_SHA256])
+def test_exotic_output_at_scale_has_the_golden_digest(capsys, fresh, digest, name):
+    count = name.removeprefix("exotic_n3_count").removesuffix(".txt")
+    argv = ["exotic", "--n", "3", "--count", count]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+    code, out, err = fresh(*argv)
+    assert (code, hashlib.sha256(out).hexdigest(), err) == (0, digest, "")
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from fourgeo.knots import (
     Knot,
     SWLedger,
     distinguish_family,
+    family_stream,
     find_fibered_knot_of_genus,
     knot_surgery,
     nonfibered_nonmonic_family,
@@ -356,6 +358,47 @@ def test_distinguish_family_matches_knot_surgery_one_knot_at_a_time(base, family
         for j in range(i + 1, len(ledgers))
         if ledgers[i] == ledgers[j]
     )
+
+
+# a base whose ledger is 0: every surgered ledger is then 0, and equal
+_ZERO_BASE = replace(k3_elliptic(), sw=SWLedger(LaurentPoly({})))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_bases + [_ZERO_BASE]), _families())
+def test_family_stream_drains_to_distinguish_family(base, family):
+    streamed = list(family_stream(base, family))
+    report = distinguish_family(base, family)
+    assert tuple(entry for entry, _ in streamed) == report.entries
+    ledgers = [e.sw for e in report.entries]
+    for j, (_, earlier) in enumerate(streamed):
+        # every earlier entry with an equal ledger, in index order
+        assert earlier == tuple(i for i in range(j) if ledgers[i] == ledgers[j])
+    pairs = sorted((i, j) for j, (_, earlier) in enumerate(streamed) for i in earlier)
+    assert report.collisions == tuple(
+        (report.entries[i].knot, report.entries[j].knot) for i, j in pairs
+    )
+
+
+def test_family_stream_decides_equal_hashes_exactly(monkeypatch):
+    # with every ledger hashing alike, each hash match is a comparison
+    monkeypatch.setattr(LaurentPoly, "__hash__", lambda self: 0)
+    t23, t25 = torus_knot(2, 3), torus_knot(2, 5)
+    family = [t23, twist_knot(2), t25, Knot("copy", 1, t23.alexander, True), twist_knot(2), t23]
+    earlier = [same for _, same in family_stream(k3_elliptic(), family)]
+    assert earlier == [(), (), (), (0,), (1,), (0, 3)]
+
+
+def test_family_stream_keeps_no_ledger_it_has_yielded():
+    family = [torus_knot(2, 2 * k + 1) for k in range(1, 30)] + nonfibered_nonmonic_family(5)
+    alive = []
+    for entry, _ in family_stream(k3_elliptic(), family):
+        alive = [ref for ref in alive if ref() is not None]
+        assert alive == []
+        alive.append(weakref.ref(entry.sw))
+        del entry
+    # a torus knot's polynomial was built for its entry, not kept in the knot
+    assert not any("alexander" in vars(knot) for knot in family[:29])
 
 
 def _error_cases():
