@@ -320,6 +320,13 @@ class Poly(Record):
     def __pow__(self, exponent: int):
         if type(exponent) is not int or exponent < 0:
             raise ValueError(f"polynomial power must be a nonnegative integer, got {exponent!r}")
+        nums = self._nums
+        if nums and not any(nums[:-1]):
+            # a monomial c * n^j / den, as N itself: its k-th power is
+            # c^k * n^(j * k) / den^k, with no multiplication of polynomials
+            j = len(nums) - 1
+            return Poly._reduced([0] * (j * exponent) + [nums[-1] ** exponent],
+                                 self._den ** exponent)
         result = Poly._reduced([1], 1)
         base = self
         e = exponent
@@ -761,11 +768,22 @@ def format_quotient(numerator: int, denominator: int, places: int) -> str:
     """numerator / denominator, for ints with denominator > 0, as a decimal
     with `places` digits after the point, rounded half to even: one divmod
     of the scaled numerator, no Fraction."""
-    scale = 10**places
-    scaled, rest = divmod(numerator * scale, denominator)  # floor, 0 <= rest
+    return _format_scaled(_round_scaled(numerator, denominator, places), places)
+
+
+def _round_scaled(numerator: int, denominator: int, places: int) -> int:
+    # numerator / denominator * 10^places rounded half to even, for
+    # denominator > 0: the int that format_quotient prints
+    scaled, rest = divmod(numerator * 10**places, denominator)  # floor, 0 <= rest
     rest *= 2
     if rest > denominator or (rest == denominator and scaled & 1):
         scaled += 1
+    return scaled
+
+
+def _format_scaled(scaled: int, places: int) -> str:
+    # the int scaled / 10^places as a decimal with `places` digits after the
+    # point
     sign = "-" if scaled < 0 else ""
-    whole, frac = divmod(abs(scaled), scale)
+    whole, frac = divmod(abs(scaled), 10**places)
     return f"{sign}{whole}.{frac:0{places}d}"

@@ -137,11 +137,11 @@ class ManifoldRecord(Record):
 
     @cached
     def c1sq(self) -> Scalar:
-        return as_scalar(3 * self.sigma + 2 * self.e)
+        return _c1sq(self.e, self.sigma)
 
     @cached
     def chi_h(self) -> Scalar:
-        return as_scalar(quotient(self.sigma + self.e, 4))
+        return _chi_h(self.e, self.sigma)
 
     def surface(self, name: str) -> MarkedSurface:
         for key, s in self.surfaces:
@@ -164,6 +164,18 @@ class ManifoldRecord(Record):
             "c1sq": self.c1sq,
             "chi_h": self.chi_h,
         }
+
+
+# The derived invariants of (e, sigma), shared by ManifoldRecord and by
+# geography.scan, which computes them for its rows without a record.
+
+
+def _c1sq(e: Scalar, sigma: Scalar) -> Scalar:
+    return as_scalar(3 * sigma + 2 * e)
+
+
+def _chi_h(e: Scalar, sigma: Scalar) -> Scalar:
+    return as_scalar(quotient(sigma + e, 4))
 
 
 def parameter(n: int | None) -> Scalar:
@@ -414,9 +426,7 @@ def bmy_report(record: ManifoldRecord) -> BmyReport:
     """
     chi = record.chi_h
     c1 = record.c1sq
-    gap = as_scalar(9 * chi - c1)
-    symbolic = isinstance(chi, Poly) or isinstance(c1, Poly)
-    if symbolic:
+    if isinstance(chi, Poly) or isinstance(c1, Poly):
         chi_p = chi if isinstance(chi, Poly) else Poly.const(chi)
         c1_p = c1 if isinstance(c1, Poly) else Poly.const(c1)
         if chi_p.is_zero():
@@ -430,11 +440,19 @@ def bmy_report(record: ManifoldRecord) -> BmyReport:
         # lower degree
         c1_lead = c1_p._nums[-1] if c1_p.degree == chi_p.degree else 0
         num, den = _ratio_pair(c1_lead * chi_p._den, c1_p._den * chi_p._nums[-1])
+        gap = as_scalar(9 * chi - c1)
         gap_p = gap if isinstance(gap, Poly) else Poly.const(gap)
         side = "on" if gap_p.is_zero() else ("below" if gap_p._nums[-1] > 0 else "above")
         return BmyReport(num, den, gap, side, True)
-    if chi == 0:
+    return BmyReport(*_numeric_bmy(c1, chi), False)
+
+
+def _numeric_bmy(c1sq, chi_h) -> tuple[int, int, Scalar, str]:
+    # (ratio_num, ratio_den, gap, side) of bmy_report for the numbers c1^2
+    # and chi_h; geography.scan reads its rows from here too
+    if chi_h == 0:
         raise ValueError("ratio undefined: chi_h = 0")
-    num, den = _ratio_pair(c1, chi)
+    gap = as_scalar(9 * chi_h - c1sq)
+    num, den = _ratio_pair(c1sq, chi_h)
     side = "on" if gap == 0 else ("below" if gap > 0 else "above")
-    return BmyReport(num, den, gap, side, False)
+    return num, den, gap, side

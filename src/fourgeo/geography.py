@@ -1,10 +1,15 @@
 """Geography scans: (chi_h, c1^2) rows for the glued family, CSV and SVG.
 
 A scan builds the family once, symbolically; that build runs every check a
-numeric build runs, exactly for all n >= 2.  Each row is the triple
-(n, record, bmy_report(record)), where record is (e(n), sigma(n)) of the
-symbolic family evaluated at n; the renderers read c1^2 and chi_h from the
-record and the ratio's integer pair, gap and side from the report.
+numeric build runs, exactly for all n >= 2.  Each row is a plain tuple
+
+    (n, e, sigma, c1sq, chi_h, ratio_num, ratio_den, gap, side)
+
+where e and sigma are the symbolic family's polynomials at n, stepped from
+one n to the next by their forward differences, and the rest is what
+ManifoldRecord(e, sigma) and bmy_report derive from them, by the same
+functions of calculus: no record or report is built per row.  The ratio is
+the unreduced integer pair c1^2 / chi_h.
 
 Output is text assembled by hand so that identical inputs give byte-identical
 files: LF line endings, fixed column order, exact integers (or p/q) in every
@@ -16,19 +21,21 @@ algebra.format_quotient; no Fraction is built per row or point.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
-from .algebra import format_quotient
-from .calculus import BmyReport, ManifoldRecord, bmy_report, parameter
+from .algebra import Poly, Scalar, _format_scaled, _round_scaled, format_quotient, quotient
+from .calculus import _c1sq, _chi_h, _numeric_bmy, parameter
 from .pipeline import build_family
 
 CSV_HEADER = "n,e,sigma,c1sq,chi_h,ratio,bmy_gap,side"
 
-Row = tuple[int, ManifoldRecord, BmyReport]
+# (n, e, sigma, c1sq, chi_h, ratio_num, ratio_den, gap, side)
+Row = tuple[int, Scalar, Scalar, Scalar, Scalar, int, int, Scalar, str]
 
 
 def scan(n_min: int, n_max: int) -> list[Row]:
     """Build the family once, symbolically, and evaluate it at each n in
-    [n_min, n_max] into (n, record, bmy_report(record)) rows."""
+    [n_min, n_max] into one Row each."""
     parameter(n_min)  # an integer >= 2, or ValueError
     if not isinstance(n_max, int) or isinstance(n_max, bool):
         raise ValueError(f"n_max must be an integer, got {n_max!r}")
@@ -36,29 +43,32 @@ def scan(n_min: int, n_max: int) -> list[Row]:
         raise ValueError(f"empty range: {n_min} > {n_max}")
     family = build_family().manifold
     rows = []
-    for n in range(n_min, n_max + 1):
-        record = ManifoldRecord(family.e(n), family.sigma(n))
-        rows.append((n, record, bmy_report(record)))
+    for n, e, sigma in zip(range(n_min, n_max + 1),
+                           _values(family.e, n_min), _values(family.sigma, n_min)):
+        c1sq, chi_h = _c1sq(e, sigma), _chi_h(e, sigma)
+        rows.append((n, e, sigma, c1sq, chi_h, *_numeric_bmy(c1sq, chi_h)))
     return rows
+
+
+def _values(p: Poly, start: int) -> Iterator[Scalar]:
+    """p(start), p(start + 1), ... as numbers, exactly.  Since
+    p(start + m) = sum_k D^k p(start) * C(m, k), the forward differences at
+    start (over p's denominator, all ints) step to those at start + 1 with
+    deg p additions, fewer operations than evaluating p afresh."""
+    # the table at 2 of p(n + start - 2) is the table of p at start
+    diffs, den = p.shift(start - 2).newton_table
+    diffs = list(diffs)
+    steps = range(len(diffs) - 1)
+    while True:
+        yield quotient(diffs[0], den)
+        for k in steps:
+            diffs[k] += diffs[k + 1]
 
 
 def render_csv(rows: list[Row]) -> str:
     lines = [CSV_HEADER]
-    for n, record, report in rows:
-        lines.append(
-            ",".join(
-                (
-                    str(n),
-                    str(record.e),
-                    str(record.sigma),
-                    str(record.c1sq),
-                    str(record.chi_h),
-                    format_quotient(report.ratio_num, report.ratio_den, 6),
-                    str(report.gap),
-                    report.side,
-                )
-            )
-        )
+    for n, e, sigma, c1sq, chi_h, num, den, gap, side in rows:
+        lines.append(f"{n},{e},{sigma},{c1sq},{chi_h},{format_quotient(num, den, 6)},{gap},{side}")
     return "\n".join(lines) + "\n"
 
 
@@ -84,11 +94,12 @@ def render_svg(rows: list[Row]) -> str:
     c1^2 = 9*chi_h, linear axes from the origin, points labeled by n.
 
     Every coordinate is an int numerator over an int denominator, rounded
-    once by format_quotient; a label offset adds offset * denominator."""
+    once, half to even, as format_quotient rounds; a point's label is placed
+    from the point's rounded coordinates."""
     if not rows:
         raise ValueError("nothing to plot")
-    chis, x_den, x_common = _axis([record.chi_h for _, record, _ in rows])
-    c1s, y_den, y_common = _axis([record.c1sq for _, record, _ in rows])
+    chis, x_den, x_common = _axis([row[4] for row in rows])
+    c1s, y_den, y_common = _axis([row[3] for row in rows])
     bottom = _HEIGHT - _MARGIN
     fmt = format_quotient
 
@@ -120,13 +131,19 @@ def render_svg(rows: list[Row]) -> str:
         )
     x0, y0 = _MARGIN * x_den, bottom * y_den
     x_unit, y_unit = 20 * _PLOT_W, 20 * _PLOT_H
-    for (n, _, _), chi, c1 in zip(rows, chis, c1s):
-        x, y = x0 + x_unit * chi, y0 - y_unit * c1
-        parts.append(f'<circle cx="{fmt(x, x_den, 2)}" cy="{fmt(y, y_den, 2)}" '
+    # A label sits 6 units right of and above its point: (x +- 6 * den) / den
+    # rounded to hundredths is x / den rounded, +- 600.  Adding 600 * den to
+    # 100 * x adds 600 to the floor of the quotient and leaves the remainder
+    # as it was, and 600 is even, so a tie (remainder half of den) rounds
+    # to even the same way.
+    for row, chi, c1 in zip(rows, chis, c1s):
+        cx = _round_scaled(x0 + x_unit * chi, x_den, 2)
+        cy = _round_scaled(y0 - y_unit * c1, y_den, 2)
+        parts.append(f'<circle cx="{_format_scaled(cx, 2)}" cy="{_format_scaled(cy, 2)}" '
                      f'r="3" fill="black"/>')
         parts.append(
-            f'<text x="{fmt(x + 6 * x_den, x_den, 2)}" y="{fmt(y - 6 * y_den, y_den, 2)}" '
-            f'font-size="11">n={n}</text>'
+            f'<text x="{_format_scaled(cx + 600, 2)}" y="{_format_scaled(cy - 600, 2)}" '
+            f'font-size="11">n={row[0]}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

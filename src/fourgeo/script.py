@@ -106,8 +106,10 @@ class Script(Record):
 # Whitespace (str.isspace) matches no alternative and is skipped.  \d is
 # exactly the digits int() accepts, so "2²" is INT "2" and then a bad "²";
 # \w is str.isalnum or "_", and an identifier must also start with a letter
-# or "_", which _tokenize checks because re has no class for it.
-_TOKEN = re.compile(r"(?P<INT>\d+)|(?P<IDENT>\w+)|(?P<PUNCT>[()=,+\-*/^])|(?P<BAD>\S)")
+# or "_", which _tokenize checks because re has no class for it.  Only
+# `build` reads a script, so the pattern is not compiled at import:
+# re.compile in _tokenize compiles it once and then finds it in re's cache.
+_TOKEN = r"(?P<INT>\d+)|(?P<IDENT>\w+)|(?P<PUNCT>[()=,+\-*/^])|(?P<BAD>\S)"
 
 _Tok = tuple[str, str, int, int]  # (kind, text, line, col)
 
@@ -116,9 +118,10 @@ def _tokenize(text: str) -> list[_Tok]:
     """Split text into (kind, text, line, col) tuples; kind is INT, IDENT,
     the punctuation character itself, NEWLINE (after each line that has a
     token) or EOF."""
+    token = re.compile(_TOKEN)
     tokens = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        for m in _TOKEN.finditer(raw.split("#", 1)[0]):
+        for m in token.finditer(raw.split("#", 1)[0]):
             kind, word, col = m.lastgroup, m.group(), m.start() + 1
             if kind == "PUNCT":
                 kind = word

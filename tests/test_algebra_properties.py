@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from fourgeo import algebra
 from fourgeo.algebra import (
     LaurentPoly,
+    N,
     Poly,
     _format_dense,
     _horner,
@@ -175,6 +176,28 @@ def test_integer_form_kernel_matches_the_fraction_reference(a, b, x, y, k):
             if p == z:
                 assert hash(p) == hash(z)
     assert Poly.const(1) != True and True != Poly.const(1)  # noqa: E712  a bool is no scalar
+
+
+# A monomial c * n^j / den, as N, is raised to a power as one monomial,
+# c^k * n^(j * k) / den^k; it must be the k-fold product in lowest terms.
+# Every other polynomial, zero included, still takes the repeated squaring.
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=-10**6, max_value=10**6).filter(bool),
+       st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=8),
+       st.integers(min_value=0, max_value=12))
+def test_a_monomial_power_is_the_repeated_product(c, den, j, k):
+    p = Poly((0,) * j + (Fraction(c, den),))
+    product = Poly.const(1)
+    for _ in range(k):
+        product = product * p
+    power = p**k
+    assert _same(power, product)
+    assert power._den > 0 and math.gcd(power._den, *power._nums) == 1
+    for q in (p + 1, p * (N - 1), Poly()):
+        assert _same(q**k, _reference_pow(q, k))
+    for e in (True, False, -1, -k - 1):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            p**e
 
 
 @settings(deadline=None)

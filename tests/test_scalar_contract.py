@@ -82,9 +82,19 @@ def test_script_arithmetic_returns_ints_when_integral():
 
 
 def test_scan_rows_hold_ints():
-    for n, record, report in geography.scan(2, 30):
-        _assert_matches_symbolic(record, SYMBOLIC.manifold, n, f"scan row {n}")
-        _assert_bmy_scalars(report, record, f"scan row {n}")
+    invariants = SYMBOLIC.manifold.invariants()
+    for row in geography.scan(2, 30):
+        n, e, sigma, c1sq, chi_h, num, den, gap, side = row
+        where = f"scan row {n}"
+        for key, value in (("e", e), ("sigma", sigma), ("c1sq", c1sq), ("chi_h", chi_h)):
+            _assert_numeric_scalars(value, f"{where}.{key}")
+            assert value == scalar_eval(invariants[key], n), (where, key)
+        # the columns bmy_report would hold, and the ratio they stand for
+        _assert_numeric_scalars((num, den, gap), where)
+        assert type(num) is int and type(den) is int and den > 0, where
+        _assert_numeric_scalars(quotient(num, den), f"{where} ratio")
+        assert quotient(num, den) == quotient(c1sq, chi_h), where
+        assert side in ("below", "on", "above"), where
 
 
 def _assert_normal(x, where):
