@@ -17,8 +17,9 @@ calculus:
                knot polynomials carried in this form are integral, and
                rational leakage indicates a normalization bug upstream.
                The public constructor checks and normalizes a mapping or
-               iterable of (exponent, coefficient) pairs; the arithmetic
-               works on the int tuples and builds its results through the
+               iterable of (exponent, coefficient) pairs.  The arithmetic
+               is what knots and ledgers use, * and t -> t^2 only; it works
+               on the int tuples and builds its results through the
                private LaurentPoly._dense, and the pairs (.terms) are built
                only when read.  Storage grows with the span, not with the
                number of nonzero terms; every Laurent polynomial the package
@@ -94,8 +95,8 @@ def _fraction(numerator: int, denominator: int = 1) -> Fraction:
 # is symbol^e, or "1" and symbol at e = 0 and 1: the terms of coefficients
 # 0, 1 and -1 (the last read by index -1).  Each growth widens the range
 # by at least half its width on every side it grows, so the strings for a
-# run of ever wider ledgers cost time and memory linear in the widest.  A growth is stored whole, never edited in
-# place.
+# run of ever wider ledgers cost time and memory linear in the widest.  A
+# growth is stored whole, never edited in place.
 _UNIT_TERMS: dict[str, tuple[int, int, list[tuple[str, str, str]]]] = {}
 
 
@@ -683,29 +684,6 @@ class LaurentPoly(Record):
         return not cs or (2 * self._low + len(cs) == 1 and cs == cs[::-1])
 
     # -- arithmetic --------------------------------------------------------
-
-    def _plus(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
-        # self + sign * other, over the union of the two exponent ranges
-        a, b = self._cs, other._cs
-        low = min(self._low, other._low)
-        out = [0] * (max(self._low + len(a), other._low + len(b)) - low)
-        i, j = self._low - low, other._low - low
-        out[i : i + len(a)] = a
-        out[j : j + len(b)] = [x + sign * y for x, y in zip(out[j : j + len(b)], b)]
-        return LaurentPoly._dense(low, out)
-
-    def __add__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self._plus(other, 1)
-
-    def __neg__(self):
-        return LaurentPoly._dense(self._low, tuple([-c for c in self._cs]))
-
-    def __sub__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self._plus(other, -1)
 
     def __mul__(self, other):
         if not isinstance(other, LaurentPoly):

@@ -46,7 +46,8 @@ def _print_manifold(record: ManifoldRecord, out) -> None:
 
 def _cmd_build(args) -> int:
     try:
-        with open(args.script, "r", encoding="utf-8") as fh:
+        # utf-8-sig skips a leading byte-order mark, as Python's source reader does
+        with open(args.script, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -16,7 +16,8 @@ grows like 3n^5) prints as a Delta[...](t^2) factor and cannot be compared.
 A family of surgeries on one base (family_stream) checks the base and
 expands its ledger once, then multiplies in each knot's factor and yields
 that entry; it keeps a hash per ledger, not the ledger, so its memory is
-bounded by one ledger.  distinguish_family collects the whole stream.
+bounded by one ledger.  It is the only family API: a caller that wants
+every entry collects them.
 """
 
 from __future__ import annotations
@@ -256,23 +257,6 @@ class FamilyEntry(Record):
     note: str = ""
 
 
-class FamilyReport(Record):
-    """Outcome of surgering one base record along a list of knots."""
-
-    entries: tuple[FamilyEntry, ...]
-    collisions: tuple[tuple[str, str], ...]
-
-    @property
-    def pairwise_distinct(self) -> bool:
-        return not self.collisions
-
-    def symplectic(self) -> list[FamilyEntry]:
-        return [e for e in self.entries if e.symplectic_candidate]
-
-    def non_symplectic(self) -> list[FamilyEntry]:
-        return [e for e in self.entries if not e.symplectic_candidate]
-
-
 _UNEXPANDED = "cannot compare an unexpanded Alexander polynomial: "
 
 
@@ -328,15 +312,3 @@ def family_stream(
         note = "trivial Alexander polynomial, no exotic pair" if cs == (1,) else ""
         yield FamilyEntry(knot.descriptor, sw, abs(cs[-1]) == 1, symplectic.is_true(), note), earlier
 
-
-def distinguish_family(
-    base: ManifoldRecord, knots: list[Knot], torus: str = "fiber"
-) -> FamilyReport:
-    """The whole of family_stream(base, knots, torus): every entry, and
-    every pair of equal ledgers in index order."""
-    entries, pairs = [], []
-    for j, (entry, earlier) in enumerate(family_stream(base, knots, torus)):
-        entries.append(entry)
-        pairs += [(i, j) for i in earlier]
-    collisions = tuple((entries[i].knot, entries[j].knot) for i, j in sorted(pairs))
-    return FamilyReport(tuple(entries), collisions)

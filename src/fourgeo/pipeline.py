@@ -67,13 +67,11 @@ from .knots import (
     FamilyEntry,
     Knot,
     SWLedger,
-    distinguish_family,
     family_stream,
     find_fibered_knot_of_genus,
     knot_surgery,
     nonfibered_nonmonic_family,
     torus_knot,
-    FamilyReport,
 )
 from .record import Record, cached, replace
 
@@ -369,39 +367,22 @@ def verify_formulas(n_max: int = 50) -> list[CheckResult]:
     return checks
 
 
-class ExoticReport(Record):
-    """Distinct smooth structures on one member of the glued family."""
-
-    base: ManifoldRecord
-    family: FamilyReport
-
-
 def exotic_stream(
     n: int, count: int
 ) -> tuple[ManifoldRecord, list[Knot], Iterator[tuple[FamilyEntry, tuple[int, ...]]]]:
-    """The base and knots of exotic_family(n, count), and family_stream
-    over them: its entries one at a time, each with the indices of the
-    earlier entries whose ledger equals its own.  Every argument is checked
-    before this returns, and the stream raises nothing on this base."""
-    base, knots = _exotic_base_and_knots(n, count)
-    return base, knots, family_stream(base, knots, torus="surviving torus")
-
-
-def exotic_family(n: int, count: int) -> ExoticReport:
     """Surger the n-th glued manifold along `count` torus knots and `count`
-    twist knots; all 2*count ledgers must be pairwise distinct, the torus
-    half monic (symplectic candidates), the twist half non-monic.
+    twist knots: the base, the knots, and family_stream over them, which
+    yields the entries one at a time, each with the indices of the earlier
+    entries whose ledger equals its own.  All 2*count ledgers should be
+    pairwise distinct, the torus half monic (symplectic candidates), the
+    twist half non-monic.
 
     The surgeries run along the square-zero torus in the K3-block complement
     that the construction never touches (assumed intact through it); the
     fresh ledger relative to that class is declared nonzero, as the base is
-    symplectic, and normalized to 1.
+    symplectic, and normalized to 1.  Every argument is checked before this
+    returns, and the stream raises nothing on this base.
     """
-    base, knots = _exotic_base_and_knots(n, count)
-    return ExoticReport(base, distinguish_family(base, knots, torus="surviving torus"))
-
-
-def _exotic_base_and_knots(n: int, count: int) -> tuple[ManifoldRecord, list[Knot]]:
     if not isinstance(count, int) or isinstance(count, bool) or count < 1:
         raise ValueError(f"count must be a positive integer, got {count}")
     if count > ALEXANDER_GENUS_CAP:
@@ -414,4 +395,4 @@ def _exotic_base_and_knots(n: int, count: int) -> tuple[ManifoldRecord, list[Kno
     base = base.with_surface("surviving torus", MarkedSurface(1, 0))
     knots = [torus_knot(2, 2 * k + 1) for k in range(1, count + 1)]
     knots += nonfibered_nonmonic_family(count)
-    return base, knots
+    return base, knots, family_stream(base, knots, torus="surviving torus")

@@ -147,13 +147,6 @@ def test_laurent_product_against_convolution():
     assert product != a and product != b
 
 
-def test_laurent_addition_and_cancellation():
-    a = laurent({2: 3, 0: -1})
-    b = laurent({2: -3, 1: 5})
-    assert a + b == laurent({1: 5, 0: -1})
-    assert a - a == LaurentPoly(())
-
-
 def test_laurent_string_form():
     assert str(laurent({1: 2, 0: -5, -1: 2})) == "2*t - 5 + 2*t^-1"
     assert str(LaurentPoly.one()) == "1"

@@ -72,6 +72,25 @@ def test_build_superscript_digit_is_located_exit_2(capsys, tmp_path):
     assert err == f"{script}: line 1, col 9: unexpected character '²'\n"
 
 
+def test_build_skips_a_leading_byte_order_mark(capsys, tmp_path):
+    script = tmp_path / "kn_bom.geo"
+    script.write_bytes(b"\xef\xbb\xbf" + Path(KN_SCRIPT).read_bytes())
+    plain = run(capsys, "build", KN_SCRIPT, "--n", "3")
+    assert plain[0] == 0
+    assert run(capsys, "build", str(script), "--n", "3") == plain
+
+
+@pytest.mark.parametrize("start", [b"", b"\xef\xbb\xbf"], ids=["plain", "leading mark"])
+def test_build_byte_order_mark_after_the_start_is_located_exit_2(capsys, tmp_path, start):
+    # only a mark that starts the file is skipped, and it takes no column
+    script = tmp_path / "mark.geo"
+    script.write_bytes(start + "report 1\ufeff\n".encode("utf-8"))
+    code, out, err = run(capsys, "build", str(script))
+    assert code == 2
+    assert out == ""
+    assert err == f"{script}: line 1, col 9: unexpected character '\\ufeff'\n"
+
+
 def test_build_prints_a_value_past_the_int_to_str_digit_limit(capsys, tmp_path):
     script = tmp_path / "big.geo"
     script.write_text("report 10^5000\n")

@@ -14,7 +14,6 @@ from fourgeo.knots import (
     ALEXANDER_GENUS_CAP,
     Knot,
     SWLedger,
-    distinguish_family,
     family_stream,
     find_fibered_knot_of_genus,
     knot_surgery,
@@ -225,39 +224,34 @@ def test_knot_surgery_with_deferred_polynomial():
     assert str(after.sw) == "1 * Delta[torus(2, 2*(3*n^5 - 3*n^4 + n^3 + 1)+1)](t^2)"
     assert after.sw.expand() == (LaurentPoly.one(), (symbolic_knot,))
     with pytest.raises(ValueError, match="unexpanded"):
-        distinguish_family(k3_elliptic(), [symbolic_knot])
+        list(family_stream(k3_elliptic(), [symbolic_knot]))
     assert after.symplectic.is_true()
 
 
 def test_distinguish_family_torus_knots():
-    base = k3_elliptic()
-    report = distinguish_family(base, [torus_knot(2, 2 * k + 1) for k in range(1, 11)])
-    assert report.pairwise_distinct
-    assert len(report.entries) == 10
-    assert all(e.monic and e.symplectic_candidate for e in report.entries)
+    streamed = list(family_stream(k3_elliptic(), [torus_knot(2, 2 * k + 1) for k in range(1, 11)]))
+    assert [earlier for _, earlier in streamed] == [()] * 10
+    assert all(e.monic and e.symplectic_candidate for e, _ in streamed)
 
 
 def test_distinguish_family_flags_trivial_and_partitions():
-    base = k3_elliptic()
-    report = distinguish_family(base, [unknot(), torus_knot(2, 3), twist_knot(2)])
-    assert report.entries[0].note == "trivial Alexander polynomial, no exotic pair"
-    assert [e.symplectic_candidate for e in report.entries] == [True, True, False]
-    assert len(report.non_symplectic()) == 1
-    assert report.pairwise_distinct
+    streamed = list(family_stream(k3_elliptic(), [unknot(), torus_knot(2, 3), twist_knot(2)]))
+    entries = [entry for entry, _ in streamed]
+    assert entries[0].note == "trivial Alexander polynomial, no exotic pair"
+    assert [e.note for e in entries[1:]] == ["", ""]
+    assert [e.symplectic_candidate for e in entries] == [True, True, False]
+    assert [earlier for _, earlier in streamed] == [(), (), ()]
 
 
 def test_distinguish_family_on_non_symplectic_base_has_no_symplectic_candidate():
     base = replace(k3_elliptic(), symplectic=declared_false("not symplectic, for the test"))
-    report = distinguish_family(base, [torus_knot(2, 3)])
-    assert not report.entries[0].symplectic_candidate
-    assert report.symplectic() == []
+    ((entry, _),) = family_stream(base, [torus_knot(2, 3)])
+    assert entry.monic and not entry.symplectic_candidate
 
 
 def test_distinguish_family_detects_collisions():
-    base = k3_elliptic()
-    report = distinguish_family(base, [torus_knot(2, 3), torus_knot(2, 3)])
-    assert not report.pairwise_distinct
-    assert report.collisions == (("torus(2,3)", "torus(2,3)"),)
+    streamed = list(family_stream(k3_elliptic(), [torus_knot(2, 3), torus_knot(2, 3)]))
+    assert [earlier for _, earlier in streamed] == [(), (0,)]
 
 
 def test_distinguish_family_lists_collisions_in_index_order():
@@ -269,15 +263,10 @@ def test_distinguish_family_lists_collisions_in_index_order():
         Knot("copy-b", 2, t25.alexander, fibered=True),
         Knot("copy-c", 1, t23.alexander, fibered=True),
     ]
-    report = distinguish_family(k3_elliptic(), family)
-    assert not report.pairwise_distinct
-    # pairs (0, 2), (0, 4), (1, 3), (2, 4): lexicographic in the indices
-    assert report.collisions == (
-        ("torus(2,3)", "copy-a"),
-        ("torus(2,3)", "copy-c"),
-        ("torus(2,5)", "copy-b"),
-        ("copy-a", "copy-c"),
-    )
+    # equal pairs (0, 2), (0, 4), (1, 3), (2, 4): each entry lists its
+    # earlier equals in index order
+    streamed = list(family_stream(k3_elliptic(), family))
+    assert [earlier for _, earlier in streamed] == [(), (), (0,), (1,), (0, 2)]
 
 
 def test_torus_knot_family_distinct_up_to_100():
@@ -343,41 +332,22 @@ _bases = [
 ]
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from(_bases), _families())
-def test_distinguish_family_matches_knot_surgery_one_knot_at_a_time(base, family):
-    report = distinguish_family(base, family)
-    assert isinstance(report, knots.FamilyReport)
-    assert all(isinstance(e, knots.FamilyEntry) for e in report.entries)
-    got = [(e.knot, e.sw, e.monic, e.symplectic_candidate, e.note) for e in report.entries]
-    assert got == [_surgered_entry(base, knot) for knot in family]
-    ledgers = [e.sw for e in report.entries]
-    assert report.collisions == tuple(
-        (report.entries[i].knot, report.entries[j].knot)
-        for i in range(len(ledgers))
-        for j in range(i + 1, len(ledgers))
-        if ledgers[i] == ledgers[j]
-    )
-
-
 # a base whose ledger is 0: every surgered ledger is then 0, and equal
 _ZERO_BASE = replace(k3_elliptic(), sw=SWLedger(LaurentPoly({})))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(_bases + [_ZERO_BASE]), _families())
-def test_family_stream_drains_to_distinguish_family(base, family):
+def test_distinguish_family_matches_knot_surgery_one_knot_at_a_time(base, family):
     streamed = list(family_stream(base, family))
-    report = distinguish_family(base, family)
-    assert tuple(entry for entry, _ in streamed) == report.entries
-    ledgers = [e.sw for e in report.entries]
+    assert all(isinstance(entry, knots.FamilyEntry) for entry, _ in streamed)
+    got = [(e.knot, e.sw, e.monic, e.symplectic_candidate, e.note) for e, _ in streamed]
+    expected = [_surgered_entry(base, knot) for knot in family]
+    assert got == expected
+    ledgers = [sw for _, sw, *_ in expected]
     for j, (_, earlier) in enumerate(streamed):
         # every earlier entry with an equal ledger, in index order
         assert earlier == tuple(i for i in range(j) if ledgers[i] == ledgers[j])
-    pairs = sorted((i, j) for j, (_, earlier) in enumerate(streamed) for i in earlier)
-    assert report.collisions == tuple(
-        (report.entries[i].knot, report.entries[j].knot) for i, j in pairs
-    )
 
 
 def test_family_stream_decides_equal_hashes_exactly(monkeypatch):
@@ -434,18 +404,18 @@ def _error_cases():
 def test_distinguish_family_raises_the_first_error_of_knot_surgery(case):
     _, base, family, message = case
     with pytest.raises(ValueError) as err:
-        distinguish_family(base, family)
+        list(family_stream(base, family))
     assert str(err.value) == message
 
 
 def test_distinguish_family_rejects_a_knot_above_the_genus_cap(monkeypatch):
     monkeypatch.setattr(knots, "ALEXANDER_GENUS_CAP", 2)
     with pytest.raises(ValueError) as err:
-        distinguish_family(k3_elliptic(), [torus_knot(2, 5), torus_knot(2, 7)])
+        list(family_stream(k3_elliptic(), [torus_knot(2, 5), torus_knot(2, 7)]))
     assert str(err.value) == "cannot compare an unexpanded Alexander polynomial: torus(2,7)"
 
 
 def test_distinguish_family_of_no_knots_checks_nothing():
     bare = k3_elliptic()
     for base in (replace(bare, sw=None), replace(bare, surfaces=())):
-        assert distinguish_family(base, []) == knots.FamilyReport((), ())
+        assert list(family_stream(base, [])) == []

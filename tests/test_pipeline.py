@@ -8,12 +8,12 @@ from fourgeo import pipeline
 from fourgeo.algebra import N, LaurentPoly, integer_valued, scalar_eval
 from fourgeo.calculus import bmy_report
 from fourgeo.cli import main
-from fourgeo.knots import distinguish_family, unknot
+from fourgeo.knots import family_stream, unknot
 from fourgeo.pipeline import (
     build_cover_block,
     build_family,
     build_k3_block,
-    exotic_family,
+    exotic_stream,
     family_targets,
     gluing_genus,
     verify_formulas,
@@ -108,7 +108,7 @@ def test_k3_block_ledger_materializes_only_at_small_n():
     assert str(sw20) == "1 * Delta[torus(2,18256003)](t^2)"
     assert sw20.expand() == (LaurentPoly.one(), (knot20,))
     with pytest.raises(ValueError, match="unexpanded Alexander polynomial: torus"):
-        distinguish_family(k3_20, [unknot()])
+        list(family_stream(k3_20, [unknot()]))
     assert "alexander" not in vars(knot20)
 
 
@@ -267,32 +267,32 @@ def test_verify_formulas_rejects_short_range():
         verify_formulas(n_max=3)
 
 
+def _drained(n, count):
+    # exotic_stream's entries, and for each the indices of its earlier equals
+    _, _, stream = exotic_stream(n, count)
+    streamed = list(stream)
+    return [entry for entry, _ in streamed], [earlier for _, earlier in streamed]
+
+
 def test_exotic_family_partition_and_distinctness():
-    report = exotic_family(3, 5)
-    assert len(report.family.symplectic()) == 5
-    assert len(report.family.non_symplectic()) == 5
-    assert len(report.family.entries) == 10
-    assert report.family.pairwise_distinct
-    sw_values = {e.sw for e in report.family.entries}
-    assert len(sw_values) == 10
-    for entry in report.family.symplectic():
-        assert entry.monic
-    for entry in report.family.non_symplectic():
-        assert not entry.monic
+    entries, earlier = _drained(3, 5)
+    assert [e.symplectic_candidate for e in entries] == [True] * 5 + [False] * 5
+    assert [e.monic for e in entries] == [True] * 5 + [False] * 5
+    assert earlier == [()] * 10
+    assert len({e.sw for e in entries}) == 10
 
 
 def test_exotic_family_large_count():
-    report = exotic_family(2, 100)
-    monic = [e for e in report.family.entries if e.monic]
-    assert len(monic) == 100
-    assert report.family.pairwise_distinct
+    entries, earlier = _drained(2, 100)
+    assert len([e for e in entries if e.monic]) == 100
+    assert earlier == [()] * 200
 
 
 def test_exotic_family_ledgers_match_closed_forms():
     # Delta(t^2) on a base ledger of 1: T(2, 2k+1) has Delta = sum of
     # (-1)^(k-i) t^i over |i| <= k, twist(m) has m*t - (2m+1) + m/t.
     count = 300
-    entries = exotic_family(3, count).family.entries
+    entries, _ = _drained(3, count)
     assert len(entries) == 2 * count
     for k, entry in enumerate(entries[:count], 1):
         assert entry.knot == f"torus(2,{2 * k + 1})"
@@ -304,15 +304,15 @@ def test_exotic_family_ledgers_match_closed_forms():
 
 def test_exotic_family_validation():
     with pytest.raises(ValueError):
-        exotic_family(3, 0)
+        exotic_stream(3, 0)
     with pytest.raises(ValueError):
-        exotic_family(1, 5)
+        exotic_stream(1, 5)
 
 
 def test_exotic_family_count_must_be_an_int():
     for count in (True, 2.0):
         with pytest.raises(ValueError, match="count must be a positive integer"):
-            exotic_family(3, count)
+            exotic_stream(3, count)
 
 
 def test_exotic_family_rejects_count_above_genus_cap(monkeypatch):
@@ -321,4 +321,4 @@ def test_exotic_family_rejects_count_above_genus_cap(monkeypatch):
 
     monkeypatch.setattr(pipeline, "build_family", fail)
     with pytest.raises(ValueError, match="ALEXANDER_GENUS_CAP = 50000"):
-        exotic_family(3, 50_001)
+        exotic_stream(3, 50_001)

@@ -13,14 +13,15 @@ from fourgeo.algebra import N, LaurentPoly, Poly
 from fourgeo.blocks import k3_elliptic
 from fourgeo.calculus import Declared, MarkedSurface, bmy_report, declared_true
 from fourgeo.knots import SWLedger, torus_knot
-from fourgeo.pipeline import branch_preset, build_cover_block, exotic_family
+from fourgeo.pipeline import branch_preset, build_cover_block, exotic_stream
 from fourgeo.record import Record, cached, replace
 from fourgeo.script import Let, Node, Report, parse
 
 
 def _samples() -> list[Record]:
     cover = build_cover_block(3)
-    exotic = exotic_family(3, 2)
+    _, _, stream = exotic_stream(3, 2)
+    (entry, _), *_ = stream
     script = parse("let X = blowup(T4, k=-n^2 + 1)\nreport X\n")
     let, report = script.statements
     return [
@@ -33,9 +34,7 @@ def _samples() -> list[Record]:
         bmy_report(k3_elliptic()),
         torus_knot(2, 5),
         SWLedger(LaurentPoly.one(), (torus_knot(2, 3),)),
-        exotic.family.entries[0],
-        exotic.family,
-        exotic,
+        entry,
         cover.checks[0],
         cover,
         Node(),
