@@ -344,10 +344,25 @@ def test_distinguish_family_matches_knot_surgery_one_knot_at_a_time(base, family
     got = [(e.knot, e.sw, e.monic, e.symplectic_candidate, e.note) for e, _ in streamed]
     expected = [_surgered_entry(base, knot) for knot in family]
     assert got == expected
-    ledgers = [sw for _, sw, *_ in expected]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_bases + [_ZERO_BASE]), _families())
+def test_family_stream_drains_to_distinguish_family(base, family):
+    # draining the stream gives what the collected distinguish_family gave:
+    # each entry's earlier equals, and so every pair of equal ledgers
+    streamed = list(family_stream(base, family))
+    ledgers = [entry.sw for entry, _ in streamed]
     for j, (_, earlier) in enumerate(streamed):
         # every earlier entry with an equal ledger, in index order
         assert earlier == tuple(i for i in range(j) if ledgers[i] == ledgers[j])
+    pairs = sorted((i, j) for j, (_, earlier) in enumerate(streamed) for i in earlier)
+    assert pairs == [
+        (i, j)
+        for i in range(len(ledgers))
+        for j in range(i + 1, len(ledgers))
+        if ledgers[i] == ledgers[j]
+    ]
 
 
 def test_family_stream_decides_equal_hashes_exactly(monkeypatch):
