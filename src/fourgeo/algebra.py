@@ -230,9 +230,6 @@ class Poly(Record):
         """Degree of the polynomial; -1 for the zero polynomial."""
         return len(self._nums) - 1
 
-    def is_zero(self) -> bool:
-        return not self._nums
-
     def shift(self, k: int) -> "Poly":
         """The polynomial p(n + k), for an integer k."""
         return Poly._reduced(_taylor_shift(self._nums, k), self._den)
@@ -354,7 +351,7 @@ class Poly(Record):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.is_zero():
+        if not o:
             raise ZeroDivisionError("polynomial division by zero")
         # each step's quotient term is r's leading coefficient over o's,
         # r_lead / r_den * o_den / o_lead, with the sign of o_lead moved
@@ -482,7 +479,7 @@ def divide_exact(a: Scalar, b: Scalar) -> Scalar:
     if not isinstance(a, Poly):
         a = Poly.const(a)
     q, r = divmod(a, b)
-    if not r.is_zero():
+    if r:
         raise ValueError(f"({a}) is not exactly divisible by ({b})")
     return q
 
@@ -573,7 +570,7 @@ def _squarefree(p: Poly) -> Poly:
     # the primitive part of p / gcd(p, p'), by Euclid's algorithm over the
     # rationals; making each remainder primitive keeps the numbers small
     a, b = p, _primitive(Poly._reduced([k * c for k, c in enumerate(p._nums)][1:], 1))
-    while not b.is_zero():
+    while b:
         a, b = b, _primitive(divmod(a, b)[1])
     return _primitive(divmod(p, a)[0])
 
@@ -668,9 +665,6 @@ class LaurentPoly(Record):
         return cls._dense(0, (1,))
 
     # -- structure ---------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self._cs
 
     @property
     def coefficients(self) -> tuple[int, ...]:

@@ -149,9 +149,6 @@ class ManifoldRecord(Record):
                 return s
         raise KeyError(f"no marked surface named {name!r} on this record")
 
-    def has_surface(self, name: str) -> bool:
-        return any(key == name for key, _ in self.surfaces)
-
     def with_surface(self, name: str, s: MarkedSurface) -> "ManifoldRecord":
         kept = tuple((k, v) for k, v in self.surfaces if k != name)
         return replace(self, surfaces=kept + ((name, s),))
@@ -429,7 +426,7 @@ def bmy_report(record: ManifoldRecord) -> BmyReport:
     if isinstance(chi, Poly) or isinstance(c1, Poly):
         chi_p = chi if isinstance(chi, Poly) else Poly.const(chi)
         c1_p = c1 if isinstance(c1, Poly) else Poly.const(c1)
-        if chi_p.is_zero():
+        if not chi_p:
             raise ValueError("ratio undefined: chi_h = 0")
         if c1_p.degree > chi_p.degree:
             raise ValueError(
@@ -442,7 +439,7 @@ def bmy_report(record: ManifoldRecord) -> BmyReport:
         num, den = _ratio_pair(c1_lead * chi_p._den, c1_p._den * chi_p._nums[-1])
         gap = as_scalar(9 * chi - c1)
         gap_p = gap if isinstance(gap, Poly) else Poly.const(gap)
-        side = "on" if gap_p.is_zero() else ("below" if gap_p._nums[-1] > 0 else "above")
+        side = "on" if not gap_p else ("below" if gap_p._nums[-1] > 0 else "above")
         return BmyReport(num, den, gap, side, True)
     return BmyReport(*_numeric_bmy(c1, chi), False)
 

@@ -9,7 +9,8 @@ Alexander polynomials then give pairwise-distinct ledgers.
 
 The ledger is kept factored: a base value and the tuple of knots surgered
 in.  Knot surgery appends the knot and expands nothing, and a torus knot
-builds and validates its Alexander polynomial the first time it is read.
+builds and validates its Alexander polynomial each time it is read; no
+knot keeps one.
 Only printing and comparing a ledger expand it, and only for knots of genus
 up to ALEXANDER_GENUS_CAP; a larger or symbolic genus (the gluing genus
 grows like 3n^5) prints as a Delta[...](t^2) factor and cannot be compared.
@@ -35,8 +36,9 @@ from .calculus import (
     MarkedSurface,
     _require_count,
     declared_false,
+    declared_true,
 )
-from .record import Record, cached, replace
+from .record import Record, replace
 
 #: Largest knot genus whose Delta_K(t^2) factor a ledger expands when it is
 #: printed or compared (support size ~4g); larger genera stay factored.
@@ -49,9 +51,8 @@ class Knot(Record):
 
     polynomial is the Alexander polynomial, validated on construction; or
     the (p, q) type of a torus knot, whose polynomial is built and validated
-    when `alexander` is first read; or None when the genus is symbolic.
-    `monic` (top coefficient +-1) is read off the validated polynomial
-    once and cached.
+    each time `alexander` is read; or None when the genus is symbolic.
+    `monic` (top coefficient +-1) is read off `alexander` on each read.
     """
 
     descriptor: str
@@ -63,21 +64,17 @@ class Knot(Record):
         object.__setattr__(self, "genus", as_scalar(self.genus))
         _require_count(self.genus, "knot genus")
         if isinstance(self.polynomial, LaurentPoly):
-            self.alexander  # a given polynomial is validated at once
+            self._validated(self.polynomial)
 
-    @cached
+    @property
     def alexander(self) -> LaurentPoly:
-        return self._built_alexander()
-
-    def _built_alexander(self) -> LaurentPoly:
-        # the validated polynomial, built anew on each call: a stream of
-        # knots reads it without keeping it
         a = self.polynomial
         if a is None:
             raise ValueError(f"no Alexander polynomial at symbolic genus: {self.descriptor}")
-        if isinstance(a, tuple):
-            a = torus_knot_alexander(*a)
-        if a.is_zero():
+        return a if isinstance(a, LaurentPoly) else self._validated(torus_knot_alexander(*a))
+
+    def _validated(self, a: LaurentPoly) -> LaurentPoly:
+        if not a:
             raise ValueError("Alexander polynomial cannot be zero")
         if not a.is_symmetric():
             raise ValueError(f"Alexander polynomial must satisfy D(t) = D(1/t): {a}")
@@ -87,7 +84,7 @@ class Knot(Record):
             raise ValueError(f"fibered knot needs a monic Alexander polynomial: {a}")
         return a
 
-    @cached
+    @property
     def monic(self) -> bool:
         """True iff the (symmetric) Alexander polynomial has top coefficient +-1."""
         return abs(self.alexander.coefficients[-1]) == 1
@@ -204,13 +201,15 @@ def _require_surgery_torus(record: ManifoldRecord, torus: str) -> None:
     # what knot surgery needs of the record, whatever the knot
     if record.sw is None:
         raise ValueError("knot surgery needs a Seiberg-Witten ledger on the record")
-    if not record.has_surface(torus):
-        raise ValueError(f"knot surgery needs a designated square-zero torus: no surface named {torus!r}")
-    t = record.surface(torus)
+    try:
+        t = record.surface(torus)
+    except KeyError:
+        raise ValueError(f"knot surgery needs a designated square-zero torus: no surface named {torus!r}") from None
     if t.genus != 1 or t.self_int != 0:
         raise ValueError(f"surgery torus must have genus 1 and square 0, got {t}")
 
 
+_FIBERED = declared_true("knot surgery along a fibered knot (Fintushel-Stern)")
 _NON_MONIC = declared_false(
     "knot surgery along a non-fibered knot with non-monic Alexander polynomial"
 )
@@ -219,7 +218,7 @@ _NON_MONIC = declared_false(
 def _surgered_symplectic(symplectic: Declared, knot: Knot) -> Declared:
     # the symplectic flag after surgery along knot, from the flag before it
     if knot.fibered:
-        return symplectic
+        return _FIBERED if symplectic.is_true() else symplectic
     return UNKNOWN if knot.monic else _NON_MONIC
 
 
@@ -232,12 +231,13 @@ def knot_surgery(
     """Fintushel-Stern knot surgery along a designated square-zero torus.
 
     (e, sigma) are unchanged; the ledger gains the factor Delta_K(t^2),
-    recorded as the knot, unexpanded.  The symplectic flag survives iff the
-    knot is fibered; surgery along a non-fibered knot with non-monic
-    Alexander polynomial is declared non-symplectic.  If sum_target names a
-    marked surface, that surface absorbs the knot fiber: its genus grows by
-    the knot genus (the internal sum used to build gluing surfaces of
-    prescribed genus).
+    recorded as the knot, unexpanded.  A symplectic record stays symplectic
+    iff the knot is fibered (Fintushel-Stern); surgery along a non-fibered
+    knot with non-monic Alexander polynomial is declared non-symplectic.
+    Simple connectivity becomes unknown, as pi_1 of the torus complement is
+    not given.  If sum_target names a marked surface, that surface absorbs
+    the knot fiber: its genus grows by the knot genus (the internal sum
+    used to build gluing surfaces of prescribed genus).
     """
     _require_surgery_torus(record, torus)
     sw = replace(record.sw, knots=record.sw.knots + (knot,))
@@ -245,8 +245,8 @@ def knot_surgery(
     if sum_target is not None:
         s = record.surface(sum_target)
         record = record.with_surface(sum_target, MarkedSurface(s.genus + knot.genus, s.self_int))
-    entry = f"knot_surgery({knot.descriptor}, torus={torus!r})"
-    return replace(record, sw=sw, symplectic=symplectic, log=record.log + (entry,))
+    log = record.log + (f"knot_surgery({knot.descriptor}, torus={torus!r})",)
+    return replace(record, simply_connected=UNKNOWN, sw=sw, symplectic=symplectic, log=log)
 
 
 class FamilyEntry(Record):
@@ -294,11 +294,11 @@ def family_stream(
                 raise ValueError(_UNEXPANDED + factored[0].descriptor)
         if not _expands(knot):
             raise ValueError(_UNEXPANDED + knot.descriptor)
-        alexander = knot._built_alexander()
+        alexander = knot.alexander
         sw = value * alexander.substitute_square()
         same = classes.setdefault(hash(sw), [])
         indices = next(
-            (ix for first, ix in same if value * first._built_alexander().substitute_square() == sw),
+            (ix for first, ix in same if value * first.alexander.substitute_square() == sw),
             None,
         )
         if indices is None:

@@ -125,7 +125,7 @@ def _reference_pow(p: Poly, e: int) -> Poly:
 
 def _reference_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     q, r = Poly(), a
-    while not r.is_zero() and r.degree >= b.degree:
+    while r and r.degree >= b.degree:
         shift = r.degree - b.degree
         t = _reference_monomial(shift, r.coeffs[-1] / b.coeffs[-1])
         q, r = q + t, r - t * b
@@ -304,7 +304,7 @@ def test_wide_laurent_matches_dict_model(a, b, e):
         assert len(x.coefficients) - 1 == max(support) - min(support)
         assert x.coefficients[0] != 0 and x.coefficients[-1] != 0
     else:
-        assert x.is_zero() and x.coefficients == ()
+        assert not x and x.coefficients == ()
     assert x.is_symmetric() == (_pairs(a) == _pairs(mirror))
     assert LaurentPoly(symmetric).is_symmetric()
 
@@ -324,12 +324,25 @@ def _reference_newton_table(p: Poly) -> tuple[tuple[int, ...], int]:
 wide_coefficients = st.one_of(coefficients, st.integers(min_value=-10**30, max_value=10**30))
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    st.integers(min_value=0, max_value=61).flatmap(
-        lambda size: st.lists(wide_coefficients, min_size=size, max_size=size)
-    )
+def _repeated(size: int, head: list) -> list:
+    # head, cut or cycled to size coefficients
+    return [head[k % len(head)] for k in range(size)]
+
+
+# Coefficient lists of degree 0..60: a drawn length and a drawn head with a
+# nonzero coefficient, cut or cycled to that length.  Every nonzero
+# polynomial of degree <= 60 is its own head at its own length, so each can
+# still be drawn, and the degree spreads over 0..60 while only the head, a
+# few coefficients on average, is drawn; zero is an explicit example.
+newton_coefficients = st.builds(
+    _repeated,
+    st.integers(min_value=1, max_value=61),
+    st.lists(wide_coefficients, min_size=1, max_size=61).filter(any),
 )
+
+
+@settings(max_examples=300, deadline=None)
+@given(newton_coefficients)
 @example([])  # zero
 @example([7])
 @example([Fraction(-5, 6)])

@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 from fourgeo import knots
 from fourgeo.algebra import N, LaurentPoly
 from fourgeo.blocks import k3_elliptic
-from fourgeo.calculus import MarkedSurface, blow_up, declared_false, surface_blowup
+from fourgeo.calculus import (
+    UNKNOWN,
+    MarkedSurface,
+    blow_up,
+    declared_false,
+    declared_true,
+    surface_blowup,
+)
 from fourgeo.knots import (
     ALEXANDER_GENUS_CAP,
     Knot,
@@ -23,6 +30,7 @@ from fourgeo.knots import (
     twist_knot,
     unknot,
 )
+from fourgeo.pipeline import exotic_stream
 from fourgeo.record import replace
 
 from test_algebra import is_monic_symmetric
@@ -129,7 +137,7 @@ def test_find_fibered_knot_checks_symbolic_genus():
 
 
 def test_torus_knot_polynomial_validated_when_materialized(monkeypatch):
-    # torus_knot defers its polynomial; whatever is built on first read
+    # torus_knot defers its polynomial; whatever is built on each read
     # goes through every check a given polynomial does.
     bad = {
         "cannot be zero": LaurentPoly(()),
@@ -140,8 +148,9 @@ def test_torus_knot_polynomial_validated_when_materialized(monkeypatch):
     for message, poly in bad.items():
         monkeypatch.setattr(knots, "torus_knot_alexander", lambda p, q, poly=poly: poly)
         knot = torus_knot(2, 7)
-        with pytest.raises(ValueError, match=message):
-            knot.alexander
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                knot.alexander
 
 
 def test_twist_family():
@@ -190,6 +199,18 @@ def test_knot_surgery_preserves_numbers():
 def test_knot_surgery_nonfibered_kills_symplectic():
     after = knot_surgery(k3_elliptic(), twist_knot(2))
     assert after.symplectic.value is False
+
+
+def test_knot_surgery_states_its_own_flags():
+    # the base's reasons (a Kaehler K3) do not describe the surgered record
+    fintushel_stern = declared_true("knot surgery along a fibered knot (Fintushel-Stern)")
+    after = knot_surgery(k3_elliptic(), torus_knot(2, 5))
+    assert after.simply_connected == UNKNOWN
+    assert after.symplectic == fintushel_stern
+    # a fibered knot keeps an unknown or declared-false flag as it is
+    for flag in (UNKNOWN, declared_false("not symplectic, for the test")):
+        after = knot_surgery(replace(k3_elliptic(), symplectic=flag), torus_knot(2, 5))
+        assert after.symplectic == flag and after.simply_connected == UNKNOWN
 
 
 def test_knot_surgery_requirements():
@@ -384,6 +405,13 @@ def test_family_stream_keeps_no_ledger_it_has_yielded():
         del entry
     # a torus knot's polynomial was built for its entry, not kept in the knot
     assert not any("alexander" in vars(knot) for knot in family[:29])
+
+
+def test_a_drained_family_keeps_no_polynomial():
+    _, family, stream = exotic_stream(3, 25)
+    assert len(list(stream)) == len(family) == 50
+    for knot in family:
+        assert set(vars(knot)) == {"descriptor", "genus", "polynomial", "fibered"}
 
 
 def _error_cases():

@@ -90,7 +90,7 @@ def _cached_attributes(record: Record) -> list[tuple[str, cached]]:
 
 def test_every_cached_attribute_is_sampled():
     names = {name for r in SAMPLES for name, _ in _cached_attributes(r)}
-    assert names == {"newton_table", "c1sq", "chi_h", "ratio", "alexander", "monic", "checks"}
+    assert names == {"newton_table", "c1sq", "chi_h", "ratio", "checks"}
 
 
 @pytest.mark.parametrize("record", SAMPLES, ids=IDS)

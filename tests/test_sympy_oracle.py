@@ -86,7 +86,7 @@ def test_poly_arithmetic_matches_sympy():
         assert a + b == from_sympy(sa + sb)
         assert a - b == from_sympy(sa - sb)
         assert a * b == from_sympy(sa * sb)
-        if not b.is_zero():
+        if b:
             q, r = divmod(a, b)
             sq, sr = sympy.div(sa, sb)
             assert (q, r) == (from_sympy(sq), from_sympy(sr))
