@@ -98,6 +98,8 @@ def _fraction(numerator: int, denominator: int = 1) -> Fraction:
 # run of ever wider ledgers cost time and memory linear in the widest.  A
 # growth is stored whole, never edited in place.
 _UNIT_TERMS: dict[str, tuple[int, int, list[tuple[str, str, str]]]] = {}
+# the coefficients whose term is its entry of the unit terms
+_UNIT_COEFFICIENTS = frozenset((-1, 0, 1))
 
 
 def _unit_terms(symbol: str, low: int, high: int) -> tuple[int, list[tuple[str, str, str]]]:
@@ -135,7 +137,7 @@ def _format_dense(low: int, cs: Sequence[int], symbol: str, den: int = 1) -> str
     rev = cs[::-step]
     top, terms = _unit_terms(symbol, low, high)
     units = terms[top - high : top - low + 1 : step]
-    if den == 1 and max(rev, default=0) <= 1 and min(rev, default=0) >= -1:
+    if den == 1 and _UNIT_COEFFICIENTS.issuperset(rev):
         # every coefficient 0 or +-1, as in most knot polynomials: each
         # term is its coefficient's entry
         text = "".join(map(getitem, units, rev))

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import accumulate
 from typing import Iterable, Iterator
 
 from .algebra import LaurentPoly, Poly, Scalar, as_scalar
@@ -90,36 +89,28 @@ class Knot(Record):
         return abs(self.alexander.coefficients[-1]) == 1
 
 
-def _divide_by_t_power_minus_1(coeffs: list[int], k: int) -> list[int]:
-    # Exact dense division by (t^k - 1).  With D = Q*(t^k - 1) the
-    # coefficients satisfy d[j] = q[j-k] - q[j], so on each residue class
-    # mod k, q is minus the running sum of d; the sum of the whole class
-    # must be 0.
-    if len(coeffs) <= k:
-        raise ValueError("not divisible by t^k - 1")
-    quotient = [0] * (len(coeffs) - k)
-    for r in range(k):
-        sums = list(accumulate(coeffs[r::k], operator.sub, initial=0))
-        if sums[-1]:
-            raise ValueError("not divisible by t^k - 1")
-        quotient[r::k] = sums[1:-1]
-    return quotient
-
-
 def torus_knot_alexander(p: int, q: int) -> LaurentPoly:
-    """Alexander polynomial of the (p, q) torus knot, symmetric form.
+    """Alexander polynomial of the (p, q) torus knot, symmetric form, for
+    coprime indices p, q >= 1 (an index 1 gives the unknot's 1).
 
-    Computed by exact division, (t^{pq} - 1)(t - 1) / ((t^p - 1)(t^q - 1)),
-    then recentered so that D(t) = D(1/t).  With p the smaller index, the
-    numerator is (t - 1) * sum(t^{iq} for i < p), and one division by
-    t^p - 1 is left.
+    Read off the semigroup S = <p, q> of the sums ap + bq (a, b >= 0): it
+    holds every integer from 2g = (p - 1)(q - 1) on, and
+    D(t) = sum(t^s - t^(s+1) for s in S, s < 2g) + t^2g, recentered so that
+    D(t) = D(1/t).  With p the smaller index, the members of S in the
+    residue class of iq mod p (i < p) are iq, iq + p, iq + 2p, ...; marking
+    those up to 2g takes one slice per class (one nonempty slice when
+    p = 2), and the coefficient of t^s is then [s in S] - [s - 1 in S].
     """
+    if p < 1 or q < 1 or math.gcd(p, q) != 1:
+        raise ValueError(f"torus knot indices must be coprime integers >= 1, got ({p}, {q})")
     p, q = min(p, q), max(p, q)
-    numerator = [0] * ((p - 1) * q + 2)
-    numerator[::q] = [-1] * p
-    numerator[1::q] = [1] * p
-    genus = (p - 1) * (q - 1) // 2
-    return LaurentPoly._dense(-genus, _divide_by_t_power_minus_1(numerator, p))
+    top = (p - 1) * (q - 1)
+    member = bytearray(top + 1)
+    for i in range(p):
+        member[i * q :: p] = b"\1" * ((top - i * q) // p + 1)
+    # a list, which _dense copies once into a tuple: tuple(map(...)) would
+    # grow by reallocation, which raises exotic's peak RSS
+    return LaurentPoly._dense(-top // 2, list(map(operator.sub, member, bytes(1) + member)))
 
 
 def torus_knot(p: int, q: int) -> Knot:

@@ -581,6 +581,11 @@ def _dense_calls(draw):
 @example([(0, (1,) * 5, "t", 1), (-40, (-1, 0) * 10 + (1,), "t", 1), (-3, (1, -1) * 30 + (1,), "t", 1),
           (2, (-1, 1, 1), "t", 1), (10**9, (1, 2, 1), "t", 1), (0, (1, 1), "t", 1)])
 @example([(0, (2, 0, -2, 3, 2), "n", 2), (-20, (1, 0, 1), "n", 1), (0, (-3, 0, 3), "n", 3)])
+# a +-1 run with one other coefficient, at its low end, inside it (every
+# other power, as in a ledger) or at its top, takes the general path
+@example([(-3, (2, -1, 1, 0, -1, 1, -1), "t", 1)])
+@example([(-8, (1, 0, -1, 0, 1, 0, -2, 0, 1, 0, -1, 0, 1, 0, 1, 0, -1), "t", 1)])
+@example([(0, (-1, 1, 0, 1, -1, 10**40), "n", 1)])
 def test_memoized_unit_terms_print_as_the_formatter_before_them(calls):
     algebra._UNIT_TERMS.clear()  # each example grows the memo from empty
     for low, cs, symbol, den in calls:

@@ -347,6 +347,20 @@ def test_exotic_report(capsys):
     assert "torus(2,3)" in out and "twist(2)" in out
 
 
+def test_exotic_entries_do_not_depend_on_n(capsys):
+    # every knot surgers the same ledger, 1 on the surviving torus, so only
+    # the base manifold's header line reads n
+    code3, out3, err3 = run(capsys, "exotic", "--n", "3", "--count", "60")
+    code8, out8, err8 = run(capsys, "exotic", "--n", "8", "--count", "60")
+    assert (code3, err3) == (code8, err8) == (0, "")
+    lines3, lines8 = out3.splitlines(), out8.splitlines()
+    assert lines3[0].startswith("base manifold (n = 3): ")
+    assert lines8[0].startswith("base manifold (n = 8): ")
+    assert lines3[0] != lines8[0]
+    assert lines3[1:] == lines8[1:]
+    assert len(lines3) == 2 + 2 * 60 + 2
+
+
 def test_exotic_validation(capsys):
     code, _, err = run(capsys, "exotic", "--n", "1", "--count", "4")
     assert code == 2

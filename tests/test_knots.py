@@ -1,6 +1,8 @@
 import math
+import operator
 import weakref
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -56,26 +58,80 @@ def test_torus_knot_rejects_non_knots():
         torus_knot(1, 5)
 
 
+def _cyclotomic_identity_holds(delta, p, q):
+    # D(t) * (t^p - 1)(t^q - 1) == (t^{pq} - 1)(t - 1), recentered
+    genus = (p - 1) * (q - 1) // 2
+    lhs = delta * LaurentPoly({p + q + genus: 1, q + genus: -1, p + genus: -1, genus: 1})
+    return lhs == LaurentPoly({p * q + 1: 1, p * q: -1, 1: -1, 0: 1})
+
+
 def test_torus_knot_alexander_against_cyclotomic_oracle():
-    # oracle: D(t) * (t^p - 1)(t^q - 1) == (t^{pq} - 1)(t - 1), recentered
     for p, q in [(2, 3), (2, 5), (3, 4), (3, 5), (4, 5)]:
-        genus = (p - 1) * (q - 1) // 2
-        delta = torus_knot_alexander(p, q)
-        lhs = delta * LaurentPoly({p + q + genus: 1, q + genus: -1, p + genus: -1, genus: 1})
-        assert lhs == LaurentPoly({p * q + 1: 1, p * q: -1, 1: -1, 0: 1})
+        assert _cyclotomic_identity_holds(torus_knot_alexander(p, q), p, q)
+
+
+def _divide_by_t_power_minus_1(coeffs, k):
+    # Exact dense division by (t^k - 1).  With D = Q*(t^k - 1) the
+    # coefficients satisfy d[j] = q[j-k] - q[j], so on each residue class
+    # mod k, q is minus the running sum of d; the sum of the whole class
+    # must be 0.
+    if len(coeffs) <= k:
+        raise ValueError("not divisible by t^k - 1")
+    quotient = [0] * (len(coeffs) - k)
+    for r in range(k):
+        sums = list(accumulate(coeffs[r::k], operator.sub, initial=0))
+        if sums[-1]:
+            raise ValueError("not divisible by t^k - 1")
+        quotient[r::k] = sums[1:-1]
+    return quotient
+
+
+def _reference_torus_knot_alexander(p, q):
+    # torus_knot_alexander as it was before the semigroup construction:
+    # exact division, (t^{pq} - 1)(t - 1) / ((t^p - 1)(t^q - 1)), where
+    # (t^{pq} - 1) / (t^q - 1) = sum(t^{iq} for i < p), p the smaller index
+    p, q = min(p, q), max(p, q)
+    numerator = [0] * ((p - 1) * q + 2)
+    numerator[::q] = [-1] * p
+    numerator[1::q] = [1] * p
+    genus = (p - 1) * (q - 1) // 2
+    return LaurentPoly._dense(-genus, _divide_by_t_power_minus_1(numerator, p))
 
 
 def test_division_by_t_power_minus_1_is_exact_or_raises():
     # (t^2 - 1)(t^3 + 2t - 5) = t^5 + t^3 - 5t^2 - 2t + 5
-    assert knots._divide_by_t_power_minus_1([5, -2, -5, 1, 0, 1], 2) == [-5, 2, 0, 1]
-    assert knots._divide_by_t_power_minus_1([0, 0, 0], 2) == [0]
+    assert _divide_by_t_power_minus_1([5, -2, -5, 1, 0, 1], 2) == [-5, 2, 0, 1]
+    assert _divide_by_t_power_minus_1([0, 0, 0], 2) == [0]
     with pytest.raises(ValueError, match="not divisible"):
-        knots._divide_by_t_power_minus_1([1, 0, 1], 2)  # t^2 + 1
+        _divide_by_t_power_minus_1([1, 0, 1], 2)  # t^2 + 1
     with pytest.raises(ValueError, match="not divisible"):
-        knots._divide_by_t_power_minus_1([-1, 1, 1], 2)  # t^2 + t - 1: remainder t
+        _divide_by_t_power_minus_1([-1, 1, 1], 2)  # t^2 + t - 1: remainder t
     for short in ([], [-1], [-1, 1]):
         with pytest.raises(ValueError, match="not divisible"):
-            knots._divide_by_t_power_minus_1(short, 2)
+            _divide_by_t_power_minus_1(short, 2)
+
+
+def test_torus_knot_alexander_matches_division_for_every_small_pair():
+    for q in range(2, 41):
+        for p in range(1, q):
+            if math.gcd(p, q) == 1:
+                expected = _reference_torus_knot_alexander(p, q)
+                for a, b in ((p, q), (q, p)):
+                    delta = torus_knot_alexander(a, b)
+                    assert delta == expected, (a, b)
+                    assert _cyclotomic_identity_holds(delta, a, b), (a, b)
+
+
+@pytest.mark.parametrize("p, q", [(-2, 3), (3, -2), (0, 5), (5, 0), (0, 1), (-1, -1)])
+def test_torus_knot_alexander_rejects_an_index_below_1(p, q):
+    with pytest.raises(ValueError, match=rf"coprime integers >= 1, got \({p}, {q}\)"):
+        torus_knot_alexander(p, q)
+
+
+@pytest.mark.parametrize("p, q", [(2, 4), (4, 2), (6, 9), (3, 3), (5, 100)])
+def test_torus_knot_alexander_rejects_indices_with_a_common_factor(p, q):
+    with pytest.raises(ValueError, match=rf"coprime integers >= 1, got \({p}, {q}\)"):
+        torus_knot_alexander(p, q)
 
 
 def test_torus_knot_alexander_is_symmetric_in_its_indices():
