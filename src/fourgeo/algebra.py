@@ -8,8 +8,8 @@ calculus:
                numerators over one positive denominator, in lowest terms
                (gcd(den, *nums) = 1, no trailing zero).  The zero
                polynomial is ((), 1).  Arithmetic, evaluation and printing
-               work on plain ints; the Fraction coefficients (.coeffs) are
-               built only when read.
+               work on plain ints, and coefficient_pairs reads the
+               coefficients as (numerator, denominator) int pairs.
   LaurentPoly  a Laurent polynomial in t with *integer* coefficients, stored
                densely as its lowest exponent and the tuple of every
                coefficient from there up, with no zero at either end; zero
@@ -20,11 +20,11 @@ calculus:
                iterable of (exponent, coefficient) pairs.  The arithmetic
                is what knots and ledgers use, * and t -> t^2 only; it works
                on the int tuples and builds its results through the
-               private LaurentPoly._dense, and the pairs (.terms) are built
-               only when read.  Storage grows with the span, not with the
-               number of nonzero terms; every Laurent polynomial the package
-               builds is a knot polynomial or a ledger, and each expanded
-               knot factor spans at most 4 * knots.ALEXANDER_GENUS_CAP.
+               private LaurentPoly._dense.  Storage grows with the span,
+               not with the number of nonzero terms; every Laurent
+               polynomial the package builds is a knot polynomial or a
+               ledger, and each expanded knot factor spans at most
+               4 * knots.ALEXANDER_GENUS_CAP.
 
 A Scalar is an int, a Fraction or a Poly, and as_scalar states its normal
 form: an int when the value is integral, a Fraction when it is not, and a
@@ -40,11 +40,11 @@ number.  Every division between scalars goes through quotient, the one
 exact division (int / int in Python would be a float), and Poly evaluation
 at an integer returns a normal number.
 
-A Fraction is built only for a value that is not integral, or where a caller
-reads Poly.coeffs.  The fractions module, which loads decimal and
-numbers, is imported when the first one is built, so a run whose numbers
-are all integral never imports it.  Until then no Fraction can exist, so
-the type tests read the class from sys.modules.
+A Fraction is built only for a value that is not an integer.  The fractions
+module, which loads decimal and numbers, is imported when the first one is
+built, so a run whose numbers are all integral never imports it.  Until
+then no Fraction can exist, so the type tests read the class from
+sys.modules.
 
 All values are immutable after construction and safe to share across threads.
 """
@@ -55,9 +55,9 @@ import math
 import sys
 from itertools import compress, repeat, zip_longest
 from operator import getitem
-from typing import TYPE_CHECKING, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
 
-from .record import Record, cached
+from .record import Frozen, cached
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -164,18 +164,6 @@ def _format_dense(low: int, cs: Sequence[int], symbol: str, den: int = 1) -> str
     return text[3:] if text[1] == "+" else f"-{text[3:]}"
 
 
-class _Coefficients:
-    # Poly.coeffs: the Fraction coefficients, built from the integer form on
-    # first read and then kept in the instance.  Read on the class it is the
-    # field's default, the empty tuple.
-    def __get__(self, poly, owner=None):
-        if poly is None:
-            return ()
-        coeffs = tuple(_fraction(c, poly._den) for c in poly._nums)
-        poly.__dict__["coeffs"] = coeffs
-        return coeffs
-
-
 def _lowest_terms(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
     # (nums, den) with trailing zeros stripped and the common factor cancelled;
     # den must be positive
@@ -189,22 +177,20 @@ def _lowest_terms(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
     return tuple(nums), den
 
 
-class Poly(Record):
+class Poly(Frozen):
     """Polynomial in n over the rationals, canonical integer form.
 
     The value is sum(_nums[k] * n^k) / _den with _den > 0, gcd(_den, *_nums)
     = 1 and no trailing zero in _nums, so equality is structural; the zero
     polynomial is ((), 1).  The public constructor takes the coefficients
-    coeffs[k] of n^k as ints or Fractions; reading .coeffs gives them back as
-    Fractions.  Supports +, -, *, ** with other polynomials, Fractions and
+    coeffs[k] of n^k as ints or Fractions; coefficient_pairs gives them back
+    as int pairs.  Supports +, -, *, ** with other polynomials, Fractions and
     ints, division by a nonzero constant, and evaluation at an integer by
     call.
     """
 
-    coeffs: tuple[Fraction, ...] = _Coefficients()
-
-    def __post_init__(self):
-        cs = [_number(c) for c in self.__dict__.pop("coeffs")]
+    def __init__(self, coeffs: Iterable[int | Fraction] = ()):
+        cs = [_number(c) for c in coeffs]
         den = math.lcm(*(c.denominator for c in cs))
         self.__dict__["_nums"], self.__dict__["_den"] = _lowest_terms(
             [c.numerator * (den // c.denominator) for c in cs], den
@@ -238,7 +224,7 @@ class Poly(Record):
 
     def coefficient_pairs(self) -> list[tuple[int, int]]:
         """The coefficients of n^0 .. n^deg in lowest terms, as (numerator,
-        denominator) int pairs: .coeffs without building a Fraction."""
+        denominator) int pairs."""
         den = self._den
         return [(c // g, den // g) for c in self._nums for g in [math.gcd(c, den)]]
 
@@ -612,33 +598,17 @@ def _sign_variations(cs: list[int]) -> int:
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
-class _Terms:
-    # LaurentPoly.terms: the (exponent, coefficient) pairs of the nonzero
-    # coefficients, built from the dense form on first read and then kept
-    # in the instance.  Read on the class it is the field's default, ().
-    def __get__(self, poly, owner=None):
-        if poly is None:
-            return ()
-        terms = tuple((e, c) for e, c in enumerate(poly._cs, poly._low) if c)
-        poly.__dict__["terms"] = terms
-        return terms
-
-
-class LaurentPoly(Record):
+class LaurentPoly(Frozen):
     """Laurent polynomial in t over the integers, canonical dense form.
 
     The value is sum(_cs[i] * t^(_low + i)) with _cs a tuple of ints whose
     first and last entries are nonzero, so equality is structural; zero is
     (0, ()).  The public constructor takes a mapping or an iterable of
-    (exponent, coefficient) pairs of ints and sums repeated exponents;
-    reading .terms gives the nonzero pairs back in ascending order.
+    (exponent, coefficient) pairs of ints and sums repeated exponents.
     """
 
-    terms: tuple[tuple[int, int], ...] = _Terms()
-
-    def __post_init__(self):
-        raw = self.__dict__.pop("terms")
-        items = raw.items() if isinstance(raw, Mapping) else raw
+    def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
+        items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[int, int] = {}
         for e, c in items:
             if not isinstance(e, int) or isinstance(e, bool):
@@ -673,6 +643,12 @@ class LaurentPoly(Record):
         """The coefficients from the lowest power of t with a nonzero
         coefficient to the highest, zeros included; () for zero."""
         return self._cs
+
+    @property
+    def terms(self) -> tuple[tuple[int, int], ...]:
+        """The (exponent, coefficient) pairs of the nonzero coefficients, in
+        ascending order, built on each read."""
+        return tuple((e, c) for e, c in enumerate(self._cs, self._low) if c)
 
     def is_symmetric(self) -> bool:
         """True iff a(t) = a(1/t) coefficientwise."""

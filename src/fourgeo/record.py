@@ -1,5 +1,11 @@
 """Immutable records: the value type of every layer.
 
+Frozen is the fieldless base of every immutable value: its constructor
+writes the attributes into the instance __dict__, and assignment and
+deletion raise AttributeError.  Record and the kernel values of
+fourgeo.algebra (Poly, LaurentPoly) derive from it; the kernel values keep
+their own constructors, equality and hashing, and declare no fields.
+
 A subclass of Record declares its fields as annotations, after those of its
 bases; a class-level value is the field's default.  The constructor takes
 the fields positionally or by keyword, fills in the defaults and then calls
@@ -7,8 +13,8 @@ __post_init__, which may validate a field or normalize it through
 object.__setattr__.  A call that gives every field positionally, the common
 case, skips the keyword and default bookkeeping.  Records refuse assignment
 and deletion, compare and hash by exact type and every field value, and
-print as Name(field=value, ...).  Records keep an instance __dict__, where
-a `cached` attribute stores its value on first read.
+print as Name(field=value, ...).  A `cached` attribute of a Frozen value
+stores its value in the instance __dict__ on first read.
 """
 
 from __future__ import annotations
@@ -33,7 +39,15 @@ class cached:
         return value
 
 
-class Record:
+class Frozen:
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Record(Frozen):
     _fields = ()  # every field, those of the bases first
     _field_set = frozenset()
     _defaults = {}
@@ -79,12 +93,6 @@ class Record:
     def __repr__(self):
         shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{self.__class__.__qualname__}({shown})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def replace(record: Record, **changes) -> Record:

@@ -191,6 +191,62 @@ def test_big_values_stay_exact():
     assert (N**7)(100) == 10**14
 
 
+# A sample of each kernel value, and a second constructor call that builds
+# an equal value from other input.
+KERNEL_VALUES = {
+    "Poly": (lambda: N**2 + 1, lambda: Poly((1, 0, Fraction(2, 2)))),
+    "LaurentPoly": (
+        lambda: LaurentPoly({1: 2, 0: -3, -1: 2}),
+        lambda: LaurentPoly([(-1, 2), (1, 1), (0, -3), (1, 1)]),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", KERNEL_VALUES)
+def test_kernel_values_refuse_assignment_and_deletion(kind):
+    value = KERNEL_VALUES[kind][0]()
+    for name in list(vars(value)):
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+@pytest.mark.parametrize("kind", KERNEL_VALUES)
+def test_equal_kernel_values_compare_and_hash_equal(kind):
+    build, rebuild = KERNEL_VALUES[kind]
+    value, copy = build(), rebuild()
+    assert copy is not value
+    assert copy == value and not copy != value
+    assert hash(copy) == hash(value)
+    assert len({value, copy}) == 1
+
+
+def test_newton_table_is_computed_once_per_instance(monkeypatch):
+    table = vars(Poly)["newton_table"]
+    expected = (N**2 + 1).newton_table
+    calls = []
+
+    def counting(p, compute=table.fn):
+        calls.append(p)
+        return compute(p)
+
+    monkeypatch.setattr(table, "fn", counting)
+    fresh = N**2 + 1
+    assert "newton_table" not in vars(fresh)
+    first = fresh.newton_table
+    assert fresh.newton_table is first
+    assert len(calls) == 1 and calls[0] is fresh
+    assert first == expected == ((5, 5, 2), 1)
+    with pytest.raises(AttributeError):
+        fresh.newton_table = first
+    with pytest.raises(AttributeError):
+        del fresh.newton_table
+    assert fresh.newton_table is first
+
+
 def decimal(x: Fraction, places: int = 6) -> str:
     return format_quotient(x.numerator, x.denominator, places)
 

@@ -2,6 +2,7 @@
 canonical forms, and the exact integrality and sign decisions)."""
 
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import compress
 
@@ -22,6 +23,7 @@ from fourgeo.algebra import (
     quotient,
 )
 from fourgeo.knots import torus_knot_alexander
+from fourgeo.pipeline import build_family, verify_formulas
 
 
 def _coefficient(i: int) -> Fraction:
@@ -39,6 +41,12 @@ def _coefficient(i: int) -> Fraction:
 coefficients = st.integers(min_value=0, max_value=12 * 1201 - 1).map(_coefficient)
 
 polys = st.lists(coefficients, max_size=7).map(lambda cs: Poly(tuple(cs)))
+
+
+def _fractions(p: Poly) -> list[Fraction]:
+    # the coefficients of n^0 .. n^deg as Fractions, read off coefficient_pairs
+    return [Fraction(a, b) for a, b in p.coefficient_pairs()]
+
 
 laurents = st.dictionaries(
     st.integers(min_value=-8, max_value=8),
@@ -88,7 +96,7 @@ def test_poly_results_are_in_lowest_terms(a, b, e, c):
     shifted = a.shift(e - 2)
     for p in (a, b, a + b, a - b, a * b, a**e, a / c, -a, a + c, c - a, c * a, shifted):
         assert _in_lowest_terms(p)
-        assert Poly(p.coeffs) == p
+        assert Poly(_fractions(p)) == p
 
 
 @settings(deadline=None)
@@ -127,14 +135,15 @@ def _reference_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     q, r = Poly(), a
     while r and r.degree >= b.degree:
         shift = r.degree - b.degree
-        t = _reference_monomial(shift, r.coeffs[-1] / b.coeffs[-1])
+        t = _reference_monomial(shift, _fractions(r)[-1] / _fractions(b)[-1])
         q, r = q + t, r - t * b
     return q, r
 
 
 def _constant(p: Poly) -> Fraction:
     # the value of a polynomial of degree <= 0
-    return p.coeffs[0] if p.coeffs else Fraction(0)
+    cs = _fractions(p)
+    return cs[0] if cs else Fraction(0)
 
 
 def _reference_eq(p: Poly, x) -> bool:
@@ -167,7 +176,7 @@ def test_integer_form_kernel_matches_the_fraction_reference(a, b, x, y, k):
     assert _same(Poly.const(x), _reference_const(x))
     for p in (a, b, divmod(a, b)[1], Poly.const(x), Poly.const(y), Poly()):
         assert hash(p) == _reference_hash(p)
-        for z in (x, y, 0, *p.coeffs[:1]):
+        for z in (x, y, 0, *_fractions(p)[:1]):
             assert (p == z) == (z == p) == _reference_eq(p, z)
             assert (p != z) == (not _reference_eq(p, z))
             if p == z:
@@ -197,11 +206,54 @@ def test_a_monomial_power_is_the_repeated_product(c, den, j, k):
             p**e
 
 
+@contextmanager
+def _fraction_calls():
+    # every (numerator, denominator) that algebra._fraction, where each
+    # Fraction the package builds is built, is called with meanwhile
+    calls, build = [], algebra._fraction
+
+    def recording(numerator, denominator=1):
+        calls.append((numerator, denominator))
+        return build(numerator, denominator)
+
+    algebra._fraction = recording
+    try:
+        yield calls
+    finally:
+        algebra._fraction = build
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys, polys, st.integers(min_value=-50, max_value=50), nonzero_rationals)
+def test_public_reads_build_a_fraction_only_for_a_non_integer(a, b, x, c):
+    with _fraction_calls() as calls:
+        for p in (a, b, a * b, a - a, Poly.const(c)):
+            str(p)
+            hash(p)
+            assert (p == b) == (b == p)
+            assert (p == c) == (c == p)
+            p.coefficient_pairs()
+            before = len(calls)
+            value = p(x)
+            # an evaluation builds its Fraction here, and only when it must
+            assert (len(calls) > before) == (type(value) is not int)
+            quotient(value, c)
+            quotient(p, c)
+    assert all(num % den for num, den in calls), calls
+
+
+def test_builds_and_checks_build_a_fraction_only_for_a_non_integer():
+    with _fraction_calls() as calls:
+        build_family()
+        verify_formulas(4)
+    assert all(num % den for num, den in calls), calls
+
+
 @settings(deadline=None)
 @given(polys)
 def test_cancellation_gives_canonical_zero(a):
     assert (a - a) == Poly()
-    assert (a - a).coeffs == ()
+    assert (a - a).coefficient_pairs() == []
     assert a + Poly() == a
 
 
@@ -415,14 +467,15 @@ def test_at_least_matches_brute_force(coeffs, double_roots, shift, bound):
     for r in double_roots:
         p = p * Poly((Fraction(-r), Fraction(1))) ** 2
     p = p + shift
+    cs = _fractions(p)
     if p.degree < 1:
         expected = _constant(p) >= bound
-    elif p.coeffs[-1] < 0:
+    elif cs[-1] < 0:
         expected = False
     else:
         # Fujiwara's bound: every root has |z| <= 2 * max_i |a_{d-i}/a_d|^(1/i)
-        d, lead = p.degree, p.coeffs[-1]
-        ratios = [abs(p.coeffs[d - i] / lead) for i in range(1, d + 1)]
+        d, lead = p.degree, cs[-1]
+        ratios = [abs(cs[d - i] / lead) for i in range(1, d + 1)]
         ratios[-1] /= 2
         top = 3 + int(2 * max(float(r) ** (1 / i) for i, r in enumerate(ratios, 1)))
         expected = all(p(k) >= bound for k in range(2, top + 1))
@@ -469,7 +522,7 @@ def test_format_decimal_matches_fraction_round(a, b, places, k, m):
 def _reference_poly_str(p: Poly) -> str:
     # Poly.__str__ as it was before printing read the integer form: the
     # dense formatter run on the Fraction coefficients
-    cs = p.coeffs
+    cs = _fractions(p)
     parts = []
     step = 1 if any(cs[1::2]) else 2
     rev = cs[::-step]
@@ -522,7 +575,8 @@ def test_poly_prints_as_the_fraction_formatter(p):
     assert str(p) == _reference_poly_str(p)
     assert repr(p) == f"Poly[{_reference_poly_str(p)}]"
     # the ^ size estimate reads these pairs in place of the Fractions
-    assert p.coefficient_pairs() == [(c.numerator, c.denominator) for c in p.coeffs]
+    fractions = [Fraction(c, p._den) for c in p._nums]
+    assert p.coefficient_pairs() == [(c.numerator, c.denominator) for c in fractions]
 
 
 

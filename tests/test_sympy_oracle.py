@@ -56,7 +56,7 @@ def fraction(x) -> Fraction:
 
 
 def to_sympy(p: Poly):
-    expr = sum(sympy.Rational(c.numerator, c.denominator) * n**k for k, c in enumerate(p.coeffs))
+    expr = sum(sympy.Rational(a, b) * n**k for k, (a, b) in enumerate(p.coefficient_pairs()))
     return sympy.Poly(expr, n, domain="QQ")
 
 
