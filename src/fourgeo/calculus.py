@@ -78,8 +78,9 @@ class MarkedSurface(Record):
     self_int: Scalar
 
     def __post_init__(self):
-        object.__setattr__(self, "genus", as_scalar(self.genus))
-        object.__setattr__(self, "self_int", as_scalar(self.self_int))
+        values = self.__dict__
+        values["genus"] = as_scalar(values["genus"])
+        values["self_int"] = as_scalar(values["self_int"])
         _require_count(self.genus, "surface genus")
         _require_integer(self.self_int, "surface self-intersection")
 
@@ -107,8 +108,9 @@ class BranchData(Record):
     d_sq: Scalar
 
     def __post_init__(self):
+        values = self.__dict__
         for f in ("degree", "index", "e_branch", "k_dot_d", "d_sq"):
-            object.__setattr__(self, f, as_scalar(getattr(self, f)))
+            values[f] = as_scalar(values[f])
         _require_count(self.degree, "cover degree", positive=True)
         _require_count(self.index, "branching index", positive=True)
 
@@ -126,8 +128,9 @@ class ManifoldRecord(Record):
     log: tuple[str, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "e", as_scalar(self.e))
-        object.__setattr__(self, "sigma", as_scalar(self.sigma))
+        values = self.__dict__
+        values["e"] = as_scalar(values["e"])
+        values["sigma"] = as_scalar(values["sigma"])
         if self.almost_complex and not integer_valued(self.chi_h):
             raise ValueError(f"almost-complex record with non-integral chi_h = {self.chi_h}")
 
@@ -150,8 +153,7 @@ class ManifoldRecord(Record):
         raise KeyError(f"no marked surface named {name!r} on this record")
 
     def with_surface(self, name: str, s: MarkedSurface) -> "ManifoldRecord":
-        kept = tuple((k, v) for k, v in self.surfaces if k != name)
-        return replace(self, surfaces=kept + ((name, s),))
+        return replace(self, surfaces=_surfaces_with(self.surfaces, name, s))
 
     def invariants(self) -> dict[str, Scalar]:
         return {
@@ -161,6 +163,11 @@ class ManifoldRecord(Record):
             "c1sq": self.c1sq,
             "chi_h": self.chi_h,
         }
+
+
+def _surfaces_with(surfaces, name: str, s: MarkedSurface) -> tuple:
+    # the surfaces with s under name, last, and no other surface so named
+    return tuple([(k, v) for k, v in surfaces if k != name]) + ((name, s),)
 
 
 # The derived invariants of (e, sigma), shared by ManifoldRecord and by
@@ -345,6 +352,9 @@ def resolve_surfaces(s1: MarkedSurface, s2: MarkedSurface, k) -> MarkedSurface:
     )
 
 
+_GOMPF = declared_true("Gompf sum of symplectic manifolds along symplectic surfaces")
+
+
 def fiber_sum(
     left: ManifoldRecord,
     left_surface: MarkedSurface,
@@ -376,7 +386,7 @@ def fiber_sum(
     else:
         sc = UNKNOWN
     if left.symplectic.is_true() and right.symplectic.is_true():
-        sympl = declared_true("Gompf sum of symplectic manifolds along symplectic surfaces")
+        sympl = _GOMPF
     else:
         sympl = UNKNOWN
     entry = (

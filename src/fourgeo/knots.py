@@ -34,6 +34,7 @@ from .calculus import (
     ManifoldRecord,
     MarkedSurface,
     _require_count,
+    _surfaces_with,
     declared_false,
     declared_true,
 )
@@ -60,7 +61,7 @@ class Knot(Record):
     fibered: bool
 
     def __post_init__(self):
-        object.__setattr__(self, "genus", as_scalar(self.genus))
+        self.__dict__["genus"] = as_scalar(self.genus)
         _require_count(self.genus, "knot genus")
         if isinstance(self.polynomial, LaurentPoly):
             self._validated(self.polynomial)
@@ -233,11 +234,13 @@ def knot_surgery(
     _require_surgery_torus(record, torus)
     sw = replace(record.sw, knots=record.sw.knots + (knot,))
     symplectic = _surgered_symplectic(record.symplectic, knot)
+    surfaces = record.surfaces
     if sum_target is not None:
         s = record.surface(sum_target)
-        record = record.with_surface(sum_target, MarkedSurface(s.genus + knot.genus, s.self_int))
+        surfaces = _surfaces_with(surfaces, sum_target, MarkedSurface(s.genus + knot.genus, s.self_int))
     log = record.log + (f"knot_surgery({knot.descriptor}, torus={torus!r})",)
-    return replace(record, simply_connected=UNKNOWN, sw=sw, symplectic=symplectic, log=log)
+    return replace(record, simply_connected=UNKNOWN, sw=sw, symplectic=symplectic, surfaces=surfaces,
+                   log=log)
 
 
 class FamilyEntry(Record):

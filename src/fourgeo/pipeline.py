@@ -169,6 +169,11 @@ def gluing_genus(v: Scalar) -> Scalar:
     return 3 * v**5 - 3 * v**4 + v**3 + 1
 
 
+_K3_BLOCK_SIMPLY_CONNECTED = declared_true(
+    "K3 blow-up is simply connected and knot surgery preserves pi_1"
+)
+
+
 def build_k3_block(n: int | None = None) -> PipelineReport:
     """Blown-up, knot-surgered K3 block carrying the mirror gluing surface.
 
@@ -185,12 +190,7 @@ def build_k3_block(n: int | None = None) -> PipelineReport:
 
     knot = find_fibered_knot_of_genus(gluing_genus(v))
     record = knot_surgery(record, knot, torus="fiber", sum_target="section")
-    record = replace(
-        record,
-        simply_connected=declared_true(
-            "K3 blow-up is simply connected and knot surgery preserves pi_1"
-        ),
-    )
+    record = replace(record, simply_connected=_K3_BLOCK_SIMPLY_CONNECTED)
 
     glued = record.surface("section")
     checks = [

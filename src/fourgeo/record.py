@@ -8,13 +8,17 @@ their own constructors, equality and hashing, and declare no fields.
 
 A subclass of Record declares its fields as annotations, after those of its
 bases; a class-level value is the field's default.  The constructor takes
-the fields positionally or by keyword, fills in the defaults and then calls
-__post_init__, which may validate a field or normalize it through
-object.__setattr__.  A call that gives every field positionally, the common
-case, skips the keyword and default bookkeeping.  Records refuse assignment
-and deletion, compare and hash by exact type and every field value, and
-print as Name(field=value, ...).  A `cached` attribute of a Frozen value
-stores its value in the instance __dict__ on first read.
+the fields positionally or by keyword and then calls __post_init__, which
+may validate a field or normalize it by writing the instance __dict__.  A
+call that gives every field positionally, the common case, just stores
+them.  Any other call fills in the defaults, then the positional fields,
+then the keywords; one set test each catches an unknown and a repeated
+keyword, and one length test a missing field, and only then are the fields
+scanned, to name the first offender.  replace copies the unchanged fields
+from the old value's __dict__ and runs __post_init__ again.  Records refuse
+assignment and deletion, compare and hash by exact type and every field
+value, and print as Name(field=value, ...).  A `cached` attribute of a
+Frozen value stores its value in the instance __dict__ on first read.
 """
 
 from __future__ import annotations
@@ -61,19 +65,21 @@ class Record(Frozen):
     def __init__(self, *args, **kwargs):
         cls, values = self.__class__, self.__dict__
         fields = cls._fields
-        values.update(zip(fields, args))
-        if kwargs or len(args) != len(fields):  # else every field is given
+        if not kwargs and len(args) == len(fields):  # every field, in order
+            values.update(zip(fields, args))
+        else:
             if len(args) > len(fields):
                 raise TypeError(f"{cls.__name__} takes at most {len(fields)} positional fields")
-            for name in kwargs:
-                if name in values or name not in cls._field_set:
-                    raise TypeError(f"{cls.__name__} got an unknown or repeated field {name!r}")
+            values.update(cls._defaults)
+            values.update(zip(fields, args))
+            names = kwargs.keys()
+            if not names <= cls._field_set or args and not names.isdisjoint(fields[: len(args)]):
+                name = next(k for k in names if k not in cls._field_set or k in fields[: len(args)])
+                raise TypeError(f"{cls.__name__} got an unknown or repeated field {name!r}")
             values.update(kwargs)
-            for name in fields:
-                if name not in values:
-                    if name not in cls._defaults:
-                        raise TypeError(f"{cls.__name__} is missing the field {name!r}")
-                    values[name] = cls._defaults[name]
+            if len(values) < len(fields):
+                name = next(f for f in fields if f not in values)
+                raise TypeError(f"{cls.__name__} is missing the field {name!r}")
         self.__post_init__()
 
     def __post_init__(self):
@@ -100,12 +106,11 @@ def replace(record: Record, **changes) -> Record:
     __post_init__ runs again, so the result is validated like any other.
     Cached attributes are not carried over: the new record computes its own."""
     cls = record.__class__
-    for name in changes:
-        if name not in cls._field_set:
-            raise TypeError(f"{cls.__name__} got an unknown or repeated field {name!r}")
+    if not changes.keys() <= cls._field_set:
+        name = next(k for k in changes if k not in cls._field_set)
+        raise TypeError(f"{cls.__name__} got an unknown or repeated field {name!r}")
     new = object.__new__(cls)
-    new.__dict__.update(
-        {f: changes[f] if f in changes else getattr(record, f) for f in cls._fields}
-    )
+    old = record.__dict__
+    new.__dict__.update({f: old[f] for f in cls._fields}, **changes)
     new.__post_init__()
     return new

@@ -581,13 +581,13 @@ def test_argparse_reads_every_other_command_line(argv):
 # -- verify-paper --json without json --------------------------------------------
 
 # Strings of any code points but the surrogates U+D800..U+DFFF (category
-# Cs), half of them with a run of characters that json.dumps escapes.  Text
-# over the union of both alphabets gives the same strings, but draws each
-# character through one_of; text over st.characters alone draws a whole
-# string at once, and this strategy takes a third of the time.
-_ANY_TEXT = st.text(st.characters(blacklist_categories=("Cs",)))
-_ESCAPED_RUN = st.text(st.sampled_from('"\\\x00\x1f\x7f\u00e9\u20ac\U0001f600'), min_size=1)
-_TEXT = st.one_of(_ANY_TEXT, st.tuples(_ANY_TEXT, _ESCAPED_RUN, _ANY_TEXT).map("".join))
+# Cs), each drawn whole in one step.  Hypothesis takes about four in five
+# characters from the first 256 code points (every ASCII control, '"', '\\',
+# U+007F and Latin-1) and the rest from the whole range, which is mostly
+# astral, so each run of 300 examples meets every character class that
+# json.dumps escapes many times over; the second explicit example holds one
+# of each.
+_TEXT = st.text(st.characters(exclude_categories=("Cs",)))
 _CHECKS = st.lists(st.builds(CheckResult, _TEXT, _TEXT, _TEXT, st.booleans(), _TEXT), max_size=4)
 _ESCAPED = '"\\\n\r\t\b\f\x00\x1f\x7f ~\u00e9\u20ac\U0001f600'
 

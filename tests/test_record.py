@@ -10,9 +10,19 @@ import pytest
 
 import fourgeo
 from fourgeo.algebra import N, LaurentPoly
-from fourgeo.blocks import k3_elliptic
-from fourgeo.calculus import Declared, MarkedSurface, bmy_report, declared_true
-from fourgeo.knots import SWLedger, torus_knot
+from fourgeo.blocks import k3_elliptic, torus4
+from fourgeo.calculus import (
+    UNKNOWN,
+    Declared,
+    ManifoldRecord,
+    MarkedSurface,
+    blow_up,
+    bmy_report,
+    branched_cover,
+    declared_true,
+    fiber_sum,
+)
+from fourgeo.knots import SWLedger, knot_surgery, torus_knot
 from fourgeo.pipeline import branch_preset, build_cover_block, exotic_stream
 from fourgeo.record import Record, cached, replace
 from fourgeo.script import Let, Node, Report, parse
@@ -160,6 +170,52 @@ def test_construction_checks_its_arguments():
     with pytest.raises(TypeError, match="repeated field 'genus'"):
         MarkedSurface(1, genus=0)
     assert MarkedSurface(self_int=0, genus=1) == MarkedSurface(1, 0)
+    # a class with defaults; each message is matched word for word
+    for args, kwargs, message in [
+        ((0, 0), {"chi": 1, "genus": 2}, "got an unknown or repeated field 'chi'"),
+        ((0, 0), {"bogus": 1, "e": 0}, "got an unknown or repeated field 'bogus'"),
+        ((0, 0), {"e": 0, "bogus": 1}, "got an unknown or repeated field 'e'"),
+        ((0, 0), {"sigma": 1}, "got an unknown or repeated field 'sigma'"),
+        ((), {"bogus": 1}, "got an unknown or repeated field 'bogus'"),
+        ((), {"log": ()}, "is missing the field 'e'"),
+        ((), {"sigma": 0}, "is missing the field 'e'"),
+        ((0,), {"log": ()}, "is missing the field 'sigma'"),
+        (tuple(range(9)), {}, "takes at most 8 positional fields"),
+        (tuple(range(9)), {"bogus": 1}, "takes at most 8 positional fields"),
+    ]:
+        with pytest.raises(TypeError, match=f"^ManifoldRecord {message}$"):
+            ManifoldRecord(*args, **kwargs)
+    built = ManifoldRecord(3, sigma=-1, log=("x",))
+    fields = {
+        "e": 3, "sigma": -1, "simply_connected": UNKNOWN, "symplectic": UNKNOWN,
+        "almost_complex": False, "surfaces": (), "sw": None, "log": ("x",),
+    }
+    assert vars(built) == fields
+    assert built.c1sq == 3 and "c1sq" in vars(built)
+    assert vars(replace(built, sigma=1)) == dict(fields, sigma=1)
+
+
+def test_each_operation_builds_one_manifold_record(monkeypatch):
+    k3, blown, knot = k3_elliptic(), blow_up(torus4(), 81), torus_knot(2, 5)
+    operations = {
+        "blow_up": lambda: blow_up(k3, 2),
+        "branched_cover": lambda: branched_cover(blown, branch_preset(3)),
+        "fiber_sum": lambda: fiber_sum(k3, MarkedSurface(1, 0), k3, MarkedSurface(1, 0)),
+        "knot_surgery": lambda: knot_surgery(k3, knot),
+        "knot_surgery into a surface": lambda: knot_surgery(k3, knot, sum_target="section"),
+    }
+    built = []
+    post_init = ManifoldRecord.__post_init__
+
+    def counting(record):
+        built.append(record)
+        post_init(record)
+
+    monkeypatch.setattr(ManifoldRecord, "__post_init__", counting)
+    for name, operation in operations.items():
+        built.clear()
+        result = operation()
+        assert len(built) == 1 and built[0] is result, name
 
 
 def test_repr_lists_every_field():
