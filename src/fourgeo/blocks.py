@@ -1,8 +1,8 @@
 """Standard building blocks the construction scripts start from.
 
-Each block is built once, at import, and every call returns that record:
-records are immutable and their cached attributes deterministic, so one
-instance serves every caller."""
+Each block is one record, built at import and named as scripts name it;
+BLOCKS maps those names to the records.  Records are immutable and their
+cached attributes deterministic, so one instance serves every caller."""
 
 from __future__ import annotations
 
@@ -10,7 +10,8 @@ from .algebra import LaurentPoly
 from .calculus import ManifoldRecord, MarkedSurface, declared_false, declared_true
 from .knots import SWLedger
 
-_TORUS4 = ManifoldRecord(
+# The 4-torus: e = 0, sigma = 0, Kaehler, far from simply connected.
+T4 = ManifoldRecord(
     0,
     0,
     simply_connected=declared_false("pi_1(T^4) = Z^4"),
@@ -19,7 +20,11 @@ _TORUS4 = ManifoldRecord(
     log=("T4",),
 )
 
-_K3_ELLIPTIC = ManifoldRecord(
+# The elliptically fibered K3 surface E(2): e = 24, sigma = -16.  Ships with
+# its standard decorations: a regular fiber (square-zero torus, the class the
+# Seiberg-Witten ledger is written against, with invariant normalized to 1)
+# and a section sphere of square -2.
+E2 = ManifoldRecord(
     24,
     -16,
     simply_connected=declared_true("standard simply connected K3 surface"),
@@ -33,7 +38,9 @@ _K3_ELLIPTIC = ManifoldRecord(
     log=("E2",),
 )
 
-_CP2_REVERSED = ManifoldRecord(
+# CP^2 with reversed orientation: e = 3, sigma = -1 (not almost complex:
+# chi_h would be 1/2).
+CP2BAR = ManifoldRecord(
     3,
     -1,
     simply_connected=declared_true("CP^2"),
@@ -42,23 +49,4 @@ _CP2_REVERSED = ManifoldRecord(
     log=("CP2BAR",),
 )
 
-
-def torus4() -> ManifoldRecord:
-    """The 4-torus: e = 0, sigma = 0, Kaehler, far from simply connected."""
-    return _TORUS4
-
-
-def k3_elliptic() -> ManifoldRecord:
-    """The elliptically fibered K3 surface E(2): e = 24, sigma = -16.
-
-    Ships with its standard decorations: a regular fiber (square-zero torus,
-    the class the Seiberg-Witten ledger is written against, with invariant
-    normalized to 1) and a section sphere of square -2.
-    """
-    return _K3_ELLIPTIC
-
-
-def cp2_reversed() -> ManifoldRecord:
-    """CP^2 with reversed orientation: e = 3, sigma = -1 (not almost complex:
-    chi_h would be 1/2)."""
-    return _CP2_REVERSED
+BLOCKS = {"T4": T4, "E2": E2, "CP2BAR": CP2BAR}

@@ -226,11 +226,15 @@ def _require_integer(k: Scalar, what: str) -> None:
 
 
 def _sheet_count(degree: Scalar, index: Scalar) -> Scalar:
-    """d/m, the sheets meeting over the branch divisor; m must divide d."""
-    sheets = divide_exact(degree, index)
-    if not integer_valued(sheets):
-        raise ValueError(f"branching index {index} does not divide degree {degree}")
-    return sheets
+    """d/m, the sheets meeting over the branch divisor; m must divide d, and
+    one message says so whether m is a number or a polynomial."""
+    try:
+        sheets = divide_exact(degree, index)
+        if integer_valued(sheets):
+            return sheets
+    except ValueError:
+        pass
+    raise ValueError(f"branching index {index} does not divide degree {degree}")
 
 
 def blow_up(record: ManifoldRecord, k) -> ManifoldRecord:

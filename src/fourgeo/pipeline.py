@@ -100,8 +100,8 @@ def _check(name: str, expected, got, note: str = "") -> CheckResult:
 
 class PipelineReport(Record):
     """A stage's manifold and compared checks.  The cover block adds its
-    fiber intersection count, and the family the gluing surface and the two
-    block reports it was built from."""
+    regular fiber and their intersection count, and the family the gluing
+    surface and the two block reports it was built from."""
 
     manifold: ManifoldRecord
     compared: tuple[tuple, ...] = ()  # from _compare
@@ -136,7 +136,7 @@ def build_cover_block(n: int | None = None) -> PipelineReport:
     """Branched-cover block over the blown-up 4-torus; its checks hold the
     Euler characteristics and genus of the fibration pieces."""
     v = parameter(n)
-    blown = blow_up(blocks.torus4(), v**4)
+    blown = blow_up(blocks.T4, v**4)
     cover = branched_cover(blown, branch_preset(v))
 
     regular_euler = riemann_hurwitz(0, 3 * v**2, v**3, v)
@@ -159,9 +159,10 @@ def build_cover_block(n: int | None = None) -> PipelineReport:
     _assert_checks(checks)
 
     return PipelineReport(
-        manifold=cover.with_surface("fiber", MarkedSurface(regular_genus, 0)),
+        manifold=cover,
         compared=tuple(checks),
         intersections=v**3,
+        surface=MarkedSurface(regular_genus, 0),
     )
 
 
@@ -184,7 +185,7 @@ def build_k3_block(n: int | None = None) -> PipelineReport:
     """
     v = parameter(n)
     k = 2 * v**3 - 2
-    record = blow_up(blocks.k3_elliptic(), k)
+    record = blow_up(blocks.E2, k)
     section = surface_blowup(record.surface("section"), k)
     record = record.with_surface("section", section)
 
@@ -225,8 +226,7 @@ def build_family(n: int | None = None) -> PipelineReport:
     each with its own checks; the family's checks are its five."""
     v = parameter(n)
     cover = build_cover_block(n)
-    fiber = cover.manifold.surface("fiber")
-    gluing = resolve_surfaces(fiber, fiber, cover.intersections)
+    gluing = resolve_surfaces(cover.surface, cover.surface, cover.intersections)
     _assert_checks([
         _compare("gluing surface: genus", gluing_genus(v), gluing.genus),
         _compare("gluing surface: self-intersection", 2 * v**3, gluing.self_int),
@@ -391,8 +391,8 @@ def exotic_stream(
         raise ValueError(
             f"count must be at most ALEXANDER_GENUS_CAP = {ALEXANDER_GENUS_CAP}, got {count}"
         )
-    base = replace(build_family(n).manifold, sw=SWLedger(LaurentPoly.one()))
-    base = base.with_surface("surviving torus", MarkedSurface(1, 0))
+    surviving = (("surviving torus", MarkedSurface(1, 0)),)
+    base = replace(build_family(n).manifold, sw=SWLedger(LaurentPoly.one()), surfaces=surviving)
     knots = [torus_knot(2, 2 * k + 1) for k in range(1, count + 1)]
     knots += nonfibered_nonmonic_family(count)
     return base, knots, family_stream(base, knots, torus="surviving torus")

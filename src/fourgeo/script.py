@@ -45,8 +45,8 @@ from __future__ import annotations
 import re
 from collections.abc import Callable
 
-from . import blocks
 from .algebra import Poly, Scalar, as_scalar, divide_exact, nonzero
+from .blocks import BLOCKS
 from .calculus import (
     BranchData,
     ManifoldRecord,
@@ -162,7 +162,7 @@ def parse(text: str) -> Script:
             name_kind, name, name_line, name_col = tokens[pos + 1]
             if name_kind != "IDENT":
                 raise _expected("a name to bind", tokens[pos + 1])
-            if name in bound or name in _BLOCKS or name == "n":
+            if name in bound or name in BLOCKS or name == "n":
                 raise ScriptError(name_line, name_col, f"name {name!r} is already bound")
             if tokens[pos + 2][0] != "=":
                 raise _expected("'='", tokens[pos + 2])
@@ -324,12 +324,6 @@ def _call_program(fn_tok: _Tok, args: list) -> list[_Instr]:
 # --------------------------------------------------------------------------
 # Evaluator
 
-_BLOCKS = {
-    "T4": blocks.torus4,
-    "E2": blocks.k3_elliptic,
-    "CP2BAR": blocks.cp2_reversed,
-}
-
 #: operation name -> (ordered parameters with their expected kinds, the
 #: operation applied to the evaluated arguments by parameter name).  Kinds
 #: are "manifold", "surface" and "scalar".  The lambdas look the calculus
@@ -454,8 +448,8 @@ def _run(program: tuple[_Instr, ...], env: dict, param: Scalar):
         elif op == "name":
             if arg in env:
                 stack.append(env[arg])
-            elif arg in _BLOCKS:
-                stack.append(_BLOCKS[arg]())
+            elif arg in BLOCKS:
+                stack.append(BLOCKS[arg])
             else:
                 raise ScriptError(line, col, f"unknown identifier {arg!r}")
         elif op == "check":

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from fourgeo.algebra import N, at_least
-from fourgeo.blocks import cp2_reversed, k3_elliptic, torus4
+from fourgeo.blocks import CP2BAR, E2, T4
 from fourgeo.calculus import (
     BranchData,
     ManifoldRecord,
@@ -49,7 +49,7 @@ def test_make_manifold_symbolic():
 
 
 def test_blow_up_torus():
-    y = blow_up(torus4(), N**4)
+    y = blow_up(T4, N**4)
     assert y.e == N**4
     assert y.sigma == -(N**4)
     assert y.c1sq == -(N**4)
@@ -66,7 +66,7 @@ def test_blow_up_identity_and_negative():
 
 
 def test_blow_up_k3():
-    n = blow_up(k3_elliptic(), 2 * N**3 - 2)
+    n = blow_up(E2, 2 * N**3 - 2)
     assert n.e == 2 * N**3 + 22
     assert n.sigma == -2 * N**3 - 14
     assert n.c1sq == -2 * N**3 + 2
@@ -102,7 +102,7 @@ def test_branched_cover_trivial_is_identity():
 
 
 def test_branched_cover_symbolic_preset():
-    y = blow_up(torus4(), N**4)
+    y = blow_up(T4, N**4)
     cover = branched_cover(y, branch_preset(N))
     assert cover.e == N**7
     assert cover.c1sq == 3 * N**7 - 4 * N**5
@@ -270,13 +270,13 @@ def test_bmy_undefined_for_zero_chi():
 
 def test_almost_complex_rejects_fractional_chi():
     # reversed-orientation projective plane has chi_h = 1/2
-    assert cp2_reversed().chi_h == Fraction(1, 2)
+    assert CP2BAR.chi_h == Fraction(1, 2)
     with pytest.raises(ValueError, match="non-integral chi_h"):
         ManifoldRecord(3, -1, almost_complex=True)
 
 
 def test_record_log_accumulates():
-    m = blow_up(blow_up(torus4(), 1), 2)
+    m = blow_up(blow_up(T4, 1), 2)
     assert m.log[0] == "T4"
     assert len(m.log) == 3
 

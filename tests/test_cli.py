@@ -113,6 +113,24 @@ def test_build_bad_riemann_hurwitz_counts_exit_1(capsys, tmp_path, args, message
     assert err == f"{script}: line 1, col 8: {message}\n"
 
 
+@pytest.mark.parametrize("call", [
+    "branched_cover(T4, degree=n^2, index=n+1, e_branch=0, kdotd=0, dsq=0)",
+    "riemann_hurwitz(0, 2, n^2, n+1)",
+])
+@pytest.mark.parametrize("mode, index, degree", [
+    (["--symbolic"], "n + 1", "n^2"),
+    (["--n", "2"], "3", "4"),
+])
+def test_build_index_not_dividing_the_degree_exit_1(capsys, tmp_path, call, mode, index, degree):
+    # a polynomial index gets the message a numeric one gets, not the
+    # script division's "not exactly divisible"
+    script = tmp_path / "sheets.geo"
+    script.write_text(f"report {call}\n")
+    code, out, err = run(capsys, "build", str(script), *mode)
+    assert (code, out) == (1, "")
+    assert err == f"{script}: line 1, col 8: branching index {index} does not divide degree {degree}\n"
+
+
 def test_build_reads_a_constant_knot_genus_as_its_number(capsys, tmp_path):
     # n - n + 2 is the number 2 in both modes, so the knot is torus(2,5) and
     # the ledger is expanded, symbolic or not

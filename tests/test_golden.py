@@ -1,9 +1,10 @@
 """Byte-for-byte CLI outputs, captured before the Seiberg-Witten ledger was
 kept in factored form (verify-paper, exotic, build) and before geography
 scans evaluated the symbolic family instead of building each member, and
-(as digests) before exotic printed each entry as it was built; any change
-to them is a regression.  Each command runs in process through
-main() and in a fresh interpreter through the process entry point."""
+(as digests) before exotic printed each entry as it was built; the
+scripts/kn.geo builds were captured before the blocks became module-level
+records.  Any change to them is a regression.  Each command runs in process
+through main() and in a fresh interpreter through the process entry point."""
 
 import hashlib
 from pathlib import Path
@@ -17,6 +18,7 @@ K3_BLOCK = str(GOLDEN / "k3_block.geo")
 # bench/workloads.generate_script(random.Random(32), 32, 3, True): every
 # script operation, arguments of degree up to 32, results up to degree 48
 GENERATED = str(GOLDEN / "generated_degree32.geo")
+KN_SCRIPT = str(GOLDEN.parent.parent / "scripts" / "kn.geo")
 
 
 @pytest.mark.parametrize(
@@ -29,6 +31,10 @@ GENERATED = str(GOLDEN / "generated_degree32.geo")
         (["build", K3_BLOCK, "--n", "8"], "k3_block_n8.txt"),
         (["build", K3_BLOCK, "--symbolic"], "k3_block_symbolic.txt"),
         (["build", GENERATED, "--symbolic"], "generated_degree32_symbolic.txt"),
+        # the packaged family script: the outputs a rewrite of it must keep
+        (["build", KN_SCRIPT, "--symbolic"], "kn_symbolic.txt"),
+        (["build", KN_SCRIPT, "--n", "3"], "kn_n3.txt"),
+        (["build", KN_SCRIPT, "--n", "8"], "kn_n8.txt"),
     ],
 )
 def test_cli_output_is_byte_identical(capsys, fresh, argv, expected):

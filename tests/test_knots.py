@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fourgeo import knots
 from fourgeo.algebra import N, LaurentPoly
-from fourgeo.blocks import k3_elliptic
+from fourgeo.blocks import E2
 from fourgeo.calculus import (
     UNKNOWN,
     MarkedSurface,
@@ -230,20 +230,20 @@ def test_knot_validation():
 
 
 def test_knot_surgery_unknot_is_identity():
-    base = k3_elliptic()
+    base = E2
     after = knot_surgery(base, unknot())
     assert after.e == base.e and after.sigma == base.sigma
     assert after.sw.expand() == base.sw.expand() == (LaurentPoly.one(), ())
 
 
 def test_knot_surgery_trefoil_ledger():
-    after = knot_surgery(k3_elliptic(), torus_knot(2, 3))
+    after = knot_surgery(E2, torus_knot(2, 3))
     assert after.sw.expand() == (LaurentPoly({2: 1, 0: -1, -2: 1}), ())
     assert after.symplectic.is_true()
 
 
 def test_knot_surgery_preserves_numbers():
-    base = k3_elliptic()
+    base = E2
     for knot in (torus_knot(2, 5), twist_knot(3), unknot()):
         after = knot_surgery(base, knot)
         assert after.e == base.e
@@ -253,24 +253,24 @@ def test_knot_surgery_preserves_numbers():
 
 
 def test_knot_surgery_nonfibered_kills_symplectic():
-    after = knot_surgery(k3_elliptic(), twist_knot(2))
+    after = knot_surgery(E2, twist_knot(2))
     assert after.symplectic.value is False
 
 
 def test_knot_surgery_states_its_own_flags():
     # the base's reasons (a Kaehler K3) do not describe the surgered record
     fintushel_stern = declared_true("knot surgery along a fibered knot (Fintushel-Stern)")
-    after = knot_surgery(k3_elliptic(), torus_knot(2, 5))
+    after = knot_surgery(E2, torus_knot(2, 5))
     assert after.simply_connected == UNKNOWN
     assert after.symplectic == fintushel_stern
     # a fibered knot keeps an unknown or declared-false flag as it is
     for flag in (UNKNOWN, declared_false("not symplectic, for the test")):
-        after = knot_surgery(replace(k3_elliptic(), symplectic=flag), torus_knot(2, 5))
+        after = knot_surgery(replace(E2, symplectic=flag), torus_knot(2, 5))
         assert after.symplectic == flag and after.simply_connected == UNKNOWN
 
 
 def test_knot_surgery_requirements():
-    bare = k3_elliptic()
+    bare = E2
     no_ledger = bare.__class__(bare.e, bare.sigma, surfaces=bare.surfaces)
     with pytest.raises(ValueError, match="ledger"):
         knot_surgery(no_ledger, unknot())
@@ -285,7 +285,7 @@ def test_knot_surgery_requirements():
 def test_knot_surgery_sum_target_gains_genus():
     # blown-up K3 with its section pushed to square -2n^3, then surgery
     # with the gluing-genus knot at n = 2 (genus 57)
-    record = blow_up(k3_elliptic(), 2 * 8 - 2)
+    record = blow_up(E2, 2 * 8 - 2)
     record = record.with_surface("section", surface_blowup(record.surface("section"), 14))
     after = knot_surgery(record, torus_knot(2, 115), sum_target="section")
     glued = after.surface("section")
@@ -295,24 +295,24 @@ def test_knot_surgery_sum_target_gains_genus():
 
 def test_knot_surgery_with_deferred_polynomial():
     symbolic_knot = find_fibered_knot_of_genus(3 * N**5 - 3 * N**4 + N**3 + 1)
-    after = knot_surgery(k3_elliptic(), symbolic_knot)
+    after = knot_surgery(E2, symbolic_knot)
     assert after.sw.value == LaurentPoly.one()
     assert after.sw.knots == (symbolic_knot,)
     assert str(after.sw) == "1 * Delta[torus(2, 2*(3*n^5 - 3*n^4 + n^3 + 1)+1)](t^2)"
     assert after.sw.expand() == (LaurentPoly.one(), (symbolic_knot,))
     with pytest.raises(ValueError, match="unexpanded"):
-        list(family_stream(k3_elliptic(), [symbolic_knot]))
+        list(family_stream(E2, [symbolic_knot]))
     assert after.symplectic.is_true()
 
 
 def test_distinguish_family_torus_knots():
-    streamed = list(family_stream(k3_elliptic(), [torus_knot(2, 2 * k + 1) for k in range(1, 11)]))
+    streamed = list(family_stream(E2, [torus_knot(2, 2 * k + 1) for k in range(1, 11)]))
     assert [earlier for _, earlier in streamed] == [()] * 10
     assert all(e.monic and e.symplectic_candidate for e, _ in streamed)
 
 
 def test_distinguish_family_flags_trivial_and_partitions():
-    streamed = list(family_stream(k3_elliptic(), [unknot(), torus_knot(2, 3), twist_knot(2)]))
+    streamed = list(family_stream(E2, [unknot(), torus_knot(2, 3), twist_knot(2)]))
     entries = [entry for entry, _ in streamed]
     assert entries[0].note == "trivial Alexander polynomial, no exotic pair"
     assert [e.note for e in entries[1:]] == ["", ""]
@@ -321,13 +321,13 @@ def test_distinguish_family_flags_trivial_and_partitions():
 
 
 def test_distinguish_family_on_non_symplectic_base_has_no_symplectic_candidate():
-    base = replace(k3_elliptic(), symplectic=declared_false("not symplectic, for the test"))
+    base = replace(E2, symplectic=declared_false("not symplectic, for the test"))
     ((entry, _),) = family_stream(base, [torus_knot(2, 3)])
     assert entry.monic and not entry.symplectic_candidate
 
 
 def test_distinguish_family_detects_collisions():
-    streamed = list(family_stream(k3_elliptic(), [torus_knot(2, 3), torus_knot(2, 3)]))
+    streamed = list(family_stream(E2, [torus_knot(2, 3), torus_knot(2, 3)]))
     assert [earlier for _, earlier in streamed] == [(), (0,)]
 
 
@@ -342,7 +342,7 @@ def test_distinguish_family_lists_collisions_in_index_order():
     ]
     # equal pairs (0, 2), (0, 4), (1, 3), (2, 4): each entry lists its
     # earlier equals in index order
-    streamed = list(family_stream(k3_elliptic(), family))
+    streamed = list(family_stream(E2, family))
     assert [earlier for _, earlier in streamed] == [(), (), (0,), (1,), (0, 2)]
 
 
@@ -403,14 +403,14 @@ def _families(draw):
 
 
 _bases = [
-    k3_elliptic(),
-    replace(k3_elliptic(), symplectic=declared_false("not symplectic, for the test")),
-    replace(k3_elliptic(), sw=SWLedger(LaurentPoly.one(), (torus_knot(2, 3), twist_knot(2)))),
+    E2,
+    replace(E2, symplectic=declared_false("not symplectic, for the test")),
+    replace(E2, sw=SWLedger(LaurentPoly.one(), (torus_knot(2, 3), twist_knot(2)))),
 ]
 
 
 # a base whose ledger is 0: every surgered ledger is then 0, and equal
-_ZERO_BASE = replace(k3_elliptic(), sw=SWLedger(LaurentPoly({})))
+_ZERO_BASE = replace(E2, sw=SWLedger(LaurentPoly({})))
 
 
 @settings(max_examples=200, deadline=None)
@@ -447,14 +447,14 @@ def test_family_stream_decides_equal_hashes_exactly(monkeypatch):
     monkeypatch.setattr(LaurentPoly, "__hash__", lambda self: 0)
     t23, t25 = torus_knot(2, 3), torus_knot(2, 5)
     family = [t23, twist_knot(2), t25, Knot("copy", 1, t23.alexander, True), twist_knot(2), t23]
-    earlier = [same for _, same in family_stream(k3_elliptic(), family)]
+    earlier = [same for _, same in family_stream(E2, family)]
     assert earlier == [(), (), (), (0,), (1,), (0, 3)]
 
 
 def test_family_stream_keeps_no_ledger_it_has_yielded():
     family = [torus_knot(2, 2 * k + 1) for k in range(1, 30)] + nonfibered_nonmonic_family(5)
     alive = []
-    for entry, _ in family_stream(k3_elliptic(), family):
+    for entry, _ in family_stream(E2, family):
         alive = [ref for ref in alive if ref() is not None]
         assert alive == []
         alive.append(weakref.ref(entry.sw))
@@ -471,7 +471,7 @@ def test_a_drained_family_keeps_no_polynomial():
 
 
 def _error_cases():
-    base = k3_elliptic()
+    base = E2
     factored_base = replace(base, sw=SWLedger(LaurentPoly.one(), (find_fibered_knot_of_genus(N + 1),)))
     symbolic = find_fibered_knot_of_genus(N**2 + 1)
     symbolic_nonfibered = Knot("ns", N, None, False)
@@ -510,11 +510,11 @@ def test_distinguish_family_raises_the_first_error_of_knot_surgery(case):
 def test_distinguish_family_rejects_a_knot_above_the_genus_cap(monkeypatch):
     monkeypatch.setattr(knots, "ALEXANDER_GENUS_CAP", 2)
     with pytest.raises(ValueError) as err:
-        list(family_stream(k3_elliptic(), [torus_knot(2, 5), torus_knot(2, 7)]))
+        list(family_stream(E2, [torus_knot(2, 5), torus_knot(2, 7)]))
     assert str(err.value) == "cannot compare an unexpanded Alexander polynomial: torus(2,7)"
 
 
 def test_distinguish_family_of_no_knots_checks_nothing():
-    bare = k3_elliptic()
+    bare = E2
     for base in (replace(bare, sw=None), replace(bare, surfaces=())):
         assert list(family_stream(base, [])) == []

@@ -10,7 +10,7 @@ import pytest
 
 import fourgeo
 from fourgeo.algebra import N, LaurentPoly
-from fourgeo.blocks import k3_elliptic, torus4
+from fourgeo.blocks import E2, T4
 from fourgeo.calculus import (
     UNKNOWN,
     Declared,
@@ -23,7 +23,7 @@ from fourgeo.calculus import (
     fiber_sum,
 )
 from fourgeo.knots import SWLedger, knot_surgery, torus_knot
-from fourgeo.pipeline import branch_preset, build_cover_block, exotic_stream
+from fourgeo.pipeline import branch_preset, build_cover_block, build_family, exotic_stream
 from fourgeo.record import Record, cached, replace
 from fourgeo.script import Let, Node, Report, parse
 
@@ -39,7 +39,7 @@ def _samples() -> list[Record]:
         MarkedSurface(1, 0),
         branch_preset(N),
         cover.manifold,
-        bmy_report(k3_elliptic()),
+        bmy_report(E2),
         torus_knot(2, 5),
         SWLedger(LaurentPoly.one(), (torus_knot(2, 3),)),
         entry,
@@ -195,15 +195,8 @@ def test_construction_checks_its_arguments():
     assert vars(replace(built, sigma=1)) == dict(fields, sigma=1)
 
 
-def test_each_operation_builds_one_manifold_record(monkeypatch):
-    k3, blown, knot = k3_elliptic(), blow_up(torus4(), 81), torus_knot(2, 5)
-    operations = {
-        "blow_up": lambda: blow_up(k3, 2),
-        "branched_cover": lambda: branched_cover(blown, branch_preset(3)),
-        "fiber_sum": lambda: fiber_sum(k3, MarkedSurface(1, 0), k3, MarkedSurface(1, 0)),
-        "knot_surgery": lambda: knot_surgery(k3, knot),
-        "knot_surgery into a surface": lambda: knot_surgery(k3, knot, sum_target="section"),
-    }
+def _built_records(monkeypatch) -> list:
+    # every ManifoldRecord whose __post_init__ runs from now on, in order
     built = []
     post_init = ManifoldRecord.__post_init__
 
@@ -212,10 +205,35 @@ def test_each_operation_builds_one_manifold_record(monkeypatch):
         post_init(record)
 
     monkeypatch.setattr(ManifoldRecord, "__post_init__", counting)
+    return built
+
+
+def test_each_operation_builds_one_manifold_record(monkeypatch):
+    k3, blown, knot = E2, blow_up(T4, 81), torus_knot(2, 5)
+    operations = {
+        "blow_up": lambda: blow_up(k3, 2),
+        "branched_cover": lambda: branched_cover(blown, branch_preset(3)),
+        "fiber_sum": lambda: fiber_sum(k3, MarkedSurface(1, 0), k3, MarkedSurface(1, 0)),
+        "knot_surgery": lambda: knot_surgery(k3, knot),
+        "knot_surgery into a surface": lambda: knot_surgery(k3, knot, sum_target="section"),
+    }
+    built = _built_records(monkeypatch)
     for name, operation in operations.items():
         built.clear()
         result = operation()
         assert len(built) == 1 and built[0] is result, name
+
+
+def test_family_builds_make_no_copy_to_mark_a_surface(monkeypatch):
+    # cover: blow_up, branched_cover; K3: blow_up, with_surface, knot_surgery,
+    # replace; fiber_sum.  The cover's regular fiber rides on its report, and
+    # the exotic base is one replace of the glued record.
+    built = _built_records(monkeypatch)
+    build_family(7)
+    assert len(built) == 7
+    built.clear()
+    exotic_stream(3, 25)
+    assert len(built) == 7 + 1
 
 
 def test_repr_lists_every_field():
