@@ -55,7 +55,7 @@ import math
 import sys
 from itertools import compress, repeat, zip_longest
 from operator import getitem
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, Union
 
 from .record import Frozen, cached
 
@@ -458,6 +458,23 @@ def quotient(a: Scalar, b: Scalar) -> Scalar:
 def scalar_eval(s: Scalar, n) -> Scalar:
     """Evaluate a Scalar at a concrete parameter value."""
     return s(n) if isinstance(s, Poly) else s
+
+
+def values_from(s: Scalar, start: int) -> Iterator[Scalar]:
+    """s(start), s(start + 1), ... exactly; a number just repeats.  A Poly p
+    steps its forward differences at start (over p's denominator, all ints)
+    by deg p additions per value, as p(start + m) = sum_k D^k p(start) *
+    C(m, k): fewer operations than evaluating p afresh at each n."""
+    if not isinstance(s, Poly):
+        yield from repeat(s)  # endless: a number never reaches the walk below
+    # the table at 2 of p(n + start - 2) is the table of p at start
+    diffs, den = s.shift(start - 2).newton_table
+    diffs = list(diffs)
+    steps = range(len(diffs) - 1)
+    while True:
+        yield quotient(diffs[0], den)
+        for k in steps:
+            diffs[k] += diffs[k + 1]
 
 
 def divide_exact(a: Scalar, b: Scalar) -> Scalar:

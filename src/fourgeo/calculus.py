@@ -152,9 +152,6 @@ class ManifoldRecord(Record):
                 return s
         raise KeyError(f"no marked surface named {name!r} on this record")
 
-    def with_surface(self, name: str, s: MarkedSurface) -> "ManifoldRecord":
-        return replace(self, surfaces=_surfaces_with(self.surfaces, name, s))
-
     def invariants(self) -> dict[str, Scalar]:
         return {
             "e": self.e,

@@ -5,11 +5,11 @@ numeric build runs, exactly for all n >= 2.  Each row is a plain tuple
 
     (n, e, sigma, c1sq, chi_h, ratio_num, ratio_den, gap, side)
 
-where e and sigma are the symbolic family's polynomials at n, stepped from
-one n to the next by their forward differences, and the rest is what
-ManifoldRecord(e, sigma) and bmy_report derive from them, by the same
-functions of calculus: no record or report is built per row.  The ratio is
-the unreduced integer pair c1^2 / chi_h.
+where e and sigma are the symbolic family's polynomials at n, walked from
+n_min by algebra.values_from, and the rest is what ManifoldRecord(e, sigma)
+and bmy_report derive from them, by the same functions of calculus: no
+record or report is built per row.  The ratio is the unreduced integer pair
+c1^2 / chi_h.
 
 Output is text assembled by hand so that identical inputs give byte-identical
 files: LF line endings, fixed column order, exact integers (or p/q) in every
@@ -21,9 +21,8 @@ algebra.format_quotient; no Fraction is built per row or point.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 
-from .algebra import Poly, Scalar, _format_scaled, _round_scaled, format_quotient, quotient
+from .algebra import Scalar, _format_scaled, _round_scaled, format_quotient, values_from
 from .calculus import _c1sq, _chi_h, _numeric_bmy, parameter
 from .pipeline import build_family
 
@@ -44,25 +43,10 @@ def scan(n_min: int, n_max: int) -> list[Row]:
     family = build_family().manifold
     rows = []
     for n, e, sigma in zip(range(n_min, n_max + 1),
-                           _values(family.e, n_min), _values(family.sigma, n_min)):
+                           values_from(family.e, n_min), values_from(family.sigma, n_min)):
         c1sq, chi_h = _c1sq(e, sigma), _chi_h(e, sigma)
         rows.append((n, e, sigma, c1sq, chi_h, *_numeric_bmy(c1sq, chi_h)))
     return rows
-
-
-def _values(p: Poly, start: int) -> Iterator[Scalar]:
-    """p(start), p(start + 1), ... as numbers, exactly.  Since
-    p(start + m) = sum_k D^k p(start) * C(m, k), the forward differences at
-    start (over p's denominator, all ints) step to those at start + 1 with
-    deg p additions, fewer operations than evaluating p afresh."""
-    # the table at 2 of p(n + start - 2) is the table of p at start
-    diffs, den = p.shift(start - 2).newton_table
-    diffs = list(diffs)
-    steps = range(len(diffs) - 1)
-    while True:
-        yield quotient(diffs[0], den)
-        for k in steps:
-            diffs[k] += diffs[k + 1]
 
 
 def render_csv(rows: list[Row]) -> str:

@@ -4,7 +4,7 @@ canonical forms, and the exact integrality and sign decisions)."""
 import math
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +21,8 @@ from fourgeo.algebra import (
     format_quotient,
     integer_valued,
     quotient,
+    scalar_eval,
+    values_from,
 )
 from fourgeo.knots import torus_knot_alexander
 from fourgeo.pipeline import build_family, verify_formulas
@@ -404,6 +406,27 @@ newton_coefficients = st.builds(
 def test_newton_table_matches_the_differences_of_values(cs):
     p = Poly(tuple(cs))
     assert p.newton_table == _reference_newton_table(p)
+
+
+# Polys of degree 0-12 (a nonzero leading coefficient), ints and Fractions
+walked_scalars = st.one_of(
+    st.builds(lambda cs, lead: Poly((*cs, lead)), st.lists(coefficients, max_size=12),
+              nonzero_rationals),
+    st.integers(min_value=-10**6, max_value=10**6),
+    coefficients,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(walked_scalars, st.integers(min_value=-50, max_value=50))
+@example(Poly(), 0)  # zero
+@example(Poly([Fraction(k - 6, 7) for k in range(13)]), -50)
+@example(Fraction(4, 2), 7)  # an integral Fraction repeats as it is
+def test_values_from_walks_like_scalar_eval(s, start):
+    walked = list(islice(values_from(s, start), 30))
+    expected = [scalar_eval(s, start + i) for i in range(30)]
+    assert walked == expected
+    assert [type(v) for v in walked] == [type(v) for v in expected]
 
 
 @RING_CASES

@@ -336,6 +336,25 @@ def test_verify_paper_reports_chi_h_zero_at_n_50(capsys, monkeypatch):
     assert failed["ratio at n=50 exceeds 8.99"] == "ratio undefined: chi_h = 0"
 
 
+@pytest.mark.parametrize("drifting, argv, failed", [
+    (37, [], {"numeric equals symbolic, n = 2..50"}),
+    # the last member: its table rows drift with it
+    (4, ["--n-max", "4"], {"numeric equals symbolic, n = 2..4", "table n=4: chi_h",
+                           "table n=4: c1sq", "table n=4: sigma"}),
+])
+def test_verify_paper_fails_one_drifting_member(capsys, monkeypatch, drifting, argv, failed):
+    # only the numeric member n = drifting gets sigma + 4 (chi_h + 1, still
+    # integral); the symbolic family and every other member are as built
+    def drifted(n=None):
+        family = _BUILD(n)
+        if n != drifting:
+            return family
+        return replace(family, manifold=replace(family.manifold, sigma=family.manifold.sigma + 4))
+
+    monkeypatch.setattr(pipeline, "build_family", drifted)
+    assert set(_failed_checks(capsys, *argv)) == failed
+
+
 def _perturb(monkeypatch, sigma):
     def perturbed(n=None):
         family = _BUILD(n)

@@ -277,7 +277,7 @@ def test_knot_surgery_requirements():
     no_torus = bare.__class__(bare.e, bare.sigma, sw=bare.sw)
     with pytest.raises(ValueError, match="torus"):
         knot_surgery(no_torus, unknot())
-    bad_torus = bare.with_surface("fiber", MarkedSurface(2, 0))
+    bad_torus = replace(bare, surfaces=(("fiber", MarkedSurface(2, 0)),))
     with pytest.raises(ValueError, match="genus 1"):
         knot_surgery(bad_torus, unknot())
 
@@ -285,8 +285,9 @@ def test_knot_surgery_requirements():
 def test_knot_surgery_sum_target_gains_genus():
     # blown-up K3 with its section pushed to square -2n^3, then surgery
     # with the gluing-genus knot at n = 2 (genus 57)
-    record = blow_up(E2, 2 * 8 - 2)
-    record = record.with_surface("section", surface_blowup(record.surface("section"), 14))
+    section = surface_blowup(E2.surface("section"), 14)
+    surfaces = (("fiber", E2.surface("fiber")), ("section", section))
+    record = replace(blow_up(E2, 2 * 8 - 2), surfaces=surfaces)
     after = knot_surgery(record, torus_knot(2, 115), sum_target="section")
     glued = after.surface("section")
     assert glued.genus == 57
@@ -482,9 +483,9 @@ def _error_cases():
          "knot surgery needs a Seiberg-Witten ledger on the record"),
         ("missing torus", replace(base, surfaces=()), [unknot()],
          "knot surgery needs a designated square-zero torus: no surface named 'fiber'"),
-        ("torus genus", base.with_surface("fiber", MarkedSurface(2, 0)), [unknot()],
+        ("torus genus", replace(base, surfaces=(("fiber", MarkedSurface(2, 0)),)), [unknot()],
          "surgery torus must have genus 1 and square 0, got genus 2, self-intersection 0"),
-        ("torus square", base.with_surface("fiber", MarkedSurface(1, 1)), [unknot()],
+        ("torus square", replace(base, surfaces=(("fiber", MarkedSurface(1, 1)),)), [unknot()],
          "surgery torus must have genus 1 and square 0, got genus 1, self-intersection 1"),
         ("factored base knot", factored_base, [unknot()],
          "cannot compare an unexpanded Alexander polynomial: torus(2, 2*(n + 1)+1)"),

@@ -23,7 +23,13 @@ from fourgeo.calculus import (
     fiber_sum,
 )
 from fourgeo.knots import SWLedger, knot_surgery, torus_knot
-from fourgeo.pipeline import branch_preset, build_cover_block, build_family, exotic_stream
+from fourgeo.pipeline import (
+    branch_preset,
+    build_cover_block,
+    build_family,
+    build_k3_block,
+    exotic_stream,
+)
 from fourgeo.record import Record, cached, replace
 from fourgeo.script import Let, Node, Report, parse
 
@@ -225,15 +231,23 @@ def test_each_operation_builds_one_manifold_record(monkeypatch):
 
 
 def test_family_builds_make_no_copy_to_mark_a_surface(monkeypatch):
-    # cover: blow_up, branched_cover; K3: blow_up, with_surface, knot_surgery,
-    # replace; fiber_sum.  The cover's regular fiber rides on its report, and
-    # the exotic base is one replace of the glued record.
+    # cover: blow_up, branched_cover; K3: blow_up, knot_surgery, replace;
+    # fiber_sum.  The cover's regular fiber rides on its report, and the
+    # exotic base is one replace of the glued record.
     built = _built_records(monkeypatch)
     build_family(7)
-    assert len(built) == 7
+    assert len(built) == 6
     built.clear()
     exotic_stream(3, 25)
-    assert len(built) == 7 + 1
+    assert len(built) == 6 + 1
+
+
+def test_k3_block_builds_one_record_per_calculus_step(monkeypatch):
+    # blow_up, knot_surgery, and one replace that marks the section's proper
+    # transform and declares simple connectivity
+    built = _built_records(monkeypatch)
+    k3 = build_k3_block(7)
+    assert len(built) == 3 and built[-1] is k3.manifold
 
 
 def test_repr_lists_every_field():
