@@ -467,7 +467,7 @@ def values_from(s: Scalar, start: int) -> Iterator[Scalar]:
     C(m, k): fewer operations than evaluating p afresh at each n."""
     if not isinstance(s, Poly):
         yield from repeat(s)  # endless: a number never reaches the walk below
-    # the table at 2 of p(n + start - 2) is the table of p at start
+    # the table at 2 of s(n + start - 2) is the table of s at start
     diffs, den = s.shift(start - 2).newton_table
     diffs = list(diffs)
     steps = range(len(diffs) - 1)
