@@ -55,14 +55,16 @@ import math
 import sys
 from itertools import compress, repeat, zip_longest
 from operator import getitem
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, Union
 
 from .record import Frozen, cached
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from collections.abc import Iterable, Iterator, Mapping, Sequence
     from fractions import Fraction
+    from typing import TypeAlias
 
-Scalar = Union[int, "Fraction", "Poly"]
+Scalar: TypeAlias = "int | Fraction | Poly"
 
 
 def _is_number(x) -> bool:
@@ -625,7 +627,7 @@ class LaurentPoly(Frozen):
     """
 
     def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        items = terms.items() if hasattr(terms, "items") else terms
         acc: dict[int, int] = {}
         for e, c in items:
             if not isinstance(e, int) or isinstance(e, bool):

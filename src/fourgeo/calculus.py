@@ -25,8 +25,6 @@ textual justification supplied by whoever asserted them.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
-
 from .algebra import (
     N,
     Poly,
@@ -39,7 +37,10 @@ from .algebra import (
 )
 from .record import Record, cached, replace
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from collections.abc import Sequence
+
     from .knots import SWLedger
 
 class Declared(Record):
@@ -344,8 +345,6 @@ def resolve_surfaces(s1: MarkedSurface, s2: MarkedSurface, k) -> MarkedSurface:
     """Resolve k transverse positive intersections of two surfaces into one
     embedded surface: genus = g1 + g2 + k - 1, square = s1 + s2 + 2k."""
     k = as_scalar(k)
-    if not isinstance(k, Poly) and k <= 0:
-        raise ValueError("resolution needs at least one intersection")
     _require_count(k, "intersection count", positive=True)
     return MarkedSurface(
         s1.genus + s2.genus + k - 1,

@@ -18,7 +18,6 @@ from __future__ import annotations
 import os
 import sys
 from types import SimpleNamespace
-from typing import NoReturn
 
 from . import geography
 from .calculus import ManifoldRecord, MarkedSurface
@@ -281,7 +280,7 @@ def main(argv=None) -> int:
         return 1
 
 
-def run() -> NoReturn:
+def run():
     """The process entry point, for `fourgeo` and `python -m fourgeo.cli`:
     main() on sys.argv, then flush stdout and stderr (each unless None, as
     when the command runs with that descriptor closed) and end the process

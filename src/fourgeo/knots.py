@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Iterable, Iterator
 
 from .algebra import LaurentPoly, Poly, Scalar, as_scalar
 from .calculus import (
@@ -39,6 +38,10 @@ from .calculus import (
     declared_true,
 )
 from .record import Record, replace
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterable, Iterator
 
 #: Largest knot genus whose Delta_K(t^2) factor a ledger expands when it is
 #: printed or compared (support size ~4g); larger genera stay factored.

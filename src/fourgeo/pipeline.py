@@ -32,8 +32,6 @@ table's own chi_h/c2/c1^2 values and the closed form both give 337.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from . import blocks
 from .algebra import (
     N,
@@ -75,6 +73,10 @@ from .knots import (
     torus_knot,
 )
 from .record import Record, cached, replace
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterator
 
 
 class CheckResult(Record):

@@ -42,9 +42,6 @@ exactly what the equivalent direct calls compute.
 
 from __future__ import annotations
 
-import re
-from collections.abc import Callable
-
 from .algebra import Poly, Scalar, as_scalar, divide_exact, nonzero
 from .blocks import BLOCKS
 from .calculus import (
@@ -107,8 +104,9 @@ class Script(Record):
 # exactly the digits int() accepts, so "2²" is INT "2" and then a bad "²";
 # \w is str.isalnum or "_", and an identifier must also start with a letter
 # or "_", which _tokenize checks because re has no class for it.  Only
-# `build` reads a script, so the pattern is not compiled at import:
-# re.compile in _tokenize compiles it once and then finds it in re's cache.
+# `build` reads a script, so re is imported in _tokenize, not with the
+# package, and the pattern is compiled there once and then found in re's
+# cache.
 _TOKEN = r"(?P<INT>\d+)|(?P<IDENT>\w+)|(?P<PUNCT>[()=,+\-*/^])|(?P<BAD>\S)"
 
 _Tok = tuple[str, str, int, int]  # (kind, text, line, col)
@@ -118,6 +116,8 @@ def _tokenize(text: str) -> list[_Tok]:
     """Split text into (kind, text, line, col) tuples; kind is INT, IDENT,
     the punctuation character itself, NEWLINE (after each line that has a
     token) or EOF."""
+    import re
+
     token = re.compile(_TOKEN)
     tokens = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -329,7 +329,7 @@ def _call_program(fn_tok: _Tok, args: list) -> list[_Instr]:
 #: are "manifold", "surface" and "scalar".  The lambdas look the calculus
 #: functions up in this module's globals when they run, so rebinding one
 #: (as the benchmark's tracer does) reaches every script call.
-_OPERATIONS: dict[str, tuple[tuple[tuple[str, str], ...], Callable]] = {
+_OPERATIONS = {
     "blowup": (
         (("m", "manifold"), ("k", "scalar")),
         lambda m, k: blow_up(m, k),

@@ -167,7 +167,7 @@ def test_resolve_surfaces():
     spheres = resolve_surfaces(MarkedSurface(0, 0), MarkedSurface(0, 0), 1)
     assert (spheres.genus, spheres.self_int) == (0, 2)
 
-    with pytest.raises(ValueError, match="at least one intersection"):
+    with pytest.raises(ValueError, match="intersection count must be a positive integer, got 0"):
         resolve_surfaces(fiber, fiber, 0)
 
 

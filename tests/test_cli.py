@@ -148,6 +148,31 @@ def test_build_reads_a_constant_knot_genus_as_its_number(capsys, tmp_path):
     ]
 
 
+@pytest.mark.parametrize("mode, got", [
+    (["--n", "2"], "a positive integer, got 0"),
+    (["--symbolic"], "positive for n >= 2, got n - 2"),
+])
+def test_build_non_positive_intersection_count_exit_1(capsys, tmp_path, mode, got):
+    # resolve's count is checked by the one count rule in both modes
+    script = tmp_path / "resolve.geo"
+    script.write_text("let F = surface(genus=1, self_int=0)\nreport resolve(F, F, k=n-2)\n")
+    code, out, err = run(capsys, "build", str(script), *mode)
+    assert (code, out) == (1, "")
+    assert err == f"{script}: line 2, col 8: intersection count must be {got}\n"
+
+
+@pytest.mark.parametrize("mode, header, square", [
+    (["--n", "3"], "numeric, n = 3", "-54"),
+    (["--symbolic"], "symbolic (polynomials in n)", "-2*n^3"),
+])
+def test_build_reports_a_marked_surface(capsys, tmp_path, mode, header, square):
+    script = tmp_path / "surface.geo"
+    script.write_text("report surface_blowup(surface(genus=0, self_int=-2), points=2*n^3 - 2)\n")
+    code, out, err = run(capsys, "build", str(script), *mode)
+    assert (code, err) == (0, "")
+    assert out == f"mode: {header}\nsurface: genus 0, self-intersection {square}\n"
+
+
 def test_build_constraint_violation_exit_1(capsys, tmp_path):
     script = tmp_path / "clash.geo"
     script.write_text(
@@ -308,6 +333,19 @@ def test_verify_paper_reports_drifting_stage(capsys, monkeypatch, name, drift, c
     assert code == 1
     failed = [e for e in json.loads(out) if not e["pass"]]
     assert any(check in e["got"] for e in failed)
+
+
+@pytest.mark.parametrize("argv", [
+    ["exotic", "--n", "3", "--count", "2"],
+    ["geography", "--n-min", "2", "--n-max", "4"],
+])
+def test_construction_drift_exits_1(capsys, monkeypatch, argv):
+    # a command that builds the family stops at the first drifting stage
+    monkeypatch.setattr(pipeline, "family_targets",
+                        lambda v: {**_TARGETS(v), "c2": _TARGETS(v)["c2"] + 1})
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: construction drift: glued family: c2")
 
 
 _BUILD = pipeline.build_family
@@ -554,6 +592,21 @@ def test_cli_imports_every_layer_but_not_json(tmp_path):
             none, " ".join(_TRACED_LAYERS), f"0 {none}", f"0 True {none}",
             *[f"0 {none}"] * 4, "0 True False False True True", f"{code} True"]
         assert (result.stderr == "") == (code == 0)
+
+
+def test_a_clean_interpreter_imports_the_cli_without_typing():
+    # annotations are strings, and the names they use are imported only for
+    # type checkers, so the package loads none of these modules itself;
+    # without -S, site packages may load them first and hide an import
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(REPO / "src")
+    result = subprocess.run([sys.executable, "-S", "-X", "importtime", "-c", "import fourgeo.cli"],
+                            env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0
+    loaded = {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert "fourgeo.cli" in loaded
+    assert loaded.isdisjoint({"typing", "re", "enum", "collections", "functools", "contextlib"})
 
 
 # -- the command-line grammar: _parse_plain against argparse --------------------
