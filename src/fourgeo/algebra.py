@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import math
 import sys
-from itertools import compress, repeat, zip_longest
+from itertools import accumulate, compress, cycle, repeat, zip_longest
 from operator import getitem
 
 from .record import Frozen, cached
@@ -104,39 +104,95 @@ _UNIT_TERMS: dict[str, tuple[int, int, list[tuple[str, str, str]]]] = {}
 _UNIT_COEFFICIENTS = frozenset((-1, 0, 1))
 
 
+def _grown_powers(
+    symbol: str, step: int, bottom: int, top: int, low: int, high: int
+) -> tuple[int, int, bool, list[str]]:
+    # (bottom, top, store, powers): the memo range of exponents top, top -
+    # step, ..., bottom grown to cover [low, high], as the _UNIT_TERMS
+    # comment says, and powers[i] = symbol^(top - i * step), or "1" and
+    # symbol at e = 0 and 1
+    half = ((top - bottom) // step + 2) // 2 * step
+    if high > top:
+        top = max(high, top + half)
+    if low < bottom:
+        bottom = min(low, bottom - half)
+    store = top - bottom < 4 * (high - low) + 64 * step
+    if not store:  # far from the stored range, as t^(10^9): these terms only
+        bottom, top = low, high
+    powers = list(map(f"{symbol}^".__add__, map(str, range(top, bottom - 1, -step))))
+    for e, x in ((0, "1"), (1, symbol)):
+        if bottom <= e <= top and (top - e) % step == 0:
+            powers[(top - e) // step] = x
+    return bottom, top, store, powers
+
+
 def _unit_terms(symbol: str, low: int, high: int) -> tuple[int, list[tuple[str, str, str]]]:
     # (top, terms) as in _UNIT_TERMS, for a range that covers [low, high]
     bottom, top, terms = _UNIT_TERMS.get(symbol, (0, -1, []))
     if low >= bottom and high <= top:
         return top, terms
-    half = (top - bottom + 2) // 2
-    if high > top:
-        top = max(high, top + half)
-    if low < bottom:
-        bottom = min(low, bottom - half)
-    store = top - bottom < 4 * (high - low) + 64
-    if not store:  # far from the stored range, as t^(10^9): these terms only
-        bottom, top = low, high
-    powers = list(map(f"{symbol}^".__add__, map(str, range(top, bottom - 1, -1))))
-    for e, x in ((0, "1"), (1, symbol)):
-        if bottom <= e <= top:
-            powers[top - e] = x
+    bottom, top, store, powers = _grown_powers(symbol, 1, bottom, top, low, high)
     terms = list(zip(repeat(""), map(" + ".__add__, powers), map(" - ".__add__, powers)))
     if store:
         _UNIT_TERMS[symbol] = bottom, top, terms
     return top, terms
 
 
+# Per (symbol, step, top exponent mod step), the alternating runs of unit
+# terms of every exponent e = top, top - step, ..., bottom, as
+# (bottom, top, plus, minus, offsets): plus joins " + x" at each e with
+# e // step even and " - x" at the others, minus the opposite signs, and the
+# term of exponent top - i * step starts at offsets[i] in both, with
+# offsets[-1] their length.  It grows, and skips a far range, as
+# _UNIT_TERMS does (_grown_powers); a growth is stored whole, never edited
+# in place.
+_ALTERNATING: dict[tuple[str, int, int], tuple[int, int, str, str, list[int]]] = {}
+# the fewest terms a +-1 run needs to print as a slice of _ALTERNATING: at
+# 3 terms the slice costs as much as the join of unit terms
+_ALTERNATING_MIN = 4
+
+
+def _alternating(symbol: str, step: int, low: int, high: int) -> tuple[int, str, str, list[int]]:
+    # (top, plus, minus, offsets) as in _ALTERNATING, for a range that
+    # covers [low, high]; low and high are congruent mod step
+    residue = high % step
+    key = symbol, step, residue
+    bottom, top, plus, minus, offsets = _ALTERNATING.get(key, (residue, residue - step, "", "", [0]))
+    if low >= bottom and high <= top:
+        return top, plus, minus, offsets
+    bottom, top, store, powers = _grown_powers(symbol, step, bottom, top, low, high)
+    signs = (" + ", " - ") if top // step % 2 == 0 else (" - ", " + ")
+    terms = list(map(str.__add__, cycle(signs), powers))
+    offsets = list(accumulate(map(len, terms), initial=0))
+    plus, minus = "".join(terms), "".join(map(str.__add__, cycle(signs[::-1]), powers))
+    if store:
+        _ALTERNATING[key] = bottom, top, plus, minus, offsets
+    return top, plus, minus, offsets
+
+
 def _format_dense(low: int, cs: Sequence[int], symbol: str, den: int = 1) -> str:
     """Render sum(cs[i] / den * symbol^(low + i)), for ints cs and den > 0,
     highest power first and zero coefficients skipped, as in
     "-n^7 + 3*n - 1/3" or "t - 1 + t^-1"; "0" when cs is empty.  cs[-1] must
-    be nonzero.  A coefficient prints in lowest terms, reduced by one gcd."""
+    be nonzero.  A coefficient prints in lowest terms, reduced by one gcd.
+
+    With den 1, at least _ALTERNATING_MIN printed terms whose coefficients
+    alternate +1 and -1, as in a torus-knot ledger Delta(t^2), print as one
+    slice of an _ALTERNATING run; every other polynomial is built term by
+    term from the unit terms of _UNIT_TERMS."""
     high = low + len(cs) - 1
     # a polynomial in symbol^2, such as a ledger Delta(t^2), skips its odd
     # offsets
     step = 1 if any(cs[1::2]) else 2
     rev = cs[::-step]
+    if (
+        den == 1 and len(rev) >= _ALTERNATING_MIN and (c := rev[0]) in (1, -1)
+        and rev[::2].count(c) + rev[1::2].count(-c) == len(rev)
+    ):
+        top, plus, minus, offsets = _alternating(symbol, step, low, high)
+        text = plus if (high // step % 2 == 0) == (c == 1) else minus
+        text = text[offsets[(top - high) // step] + 3 : offsets[(top - low) // step + 1]]
+        return text if c == 1 else f"-{text}"
     top, terms = _unit_terms(symbol, low, high)
     units = terms[top - high : top - low + 1 : step]
     if den == 1 and _UNIT_COEFFICIENTS.issuperset(rev):

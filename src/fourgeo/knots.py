@@ -95,25 +95,28 @@ class Knot(Record):
 
 def torus_knot_alexander(p: int, q: int) -> LaurentPoly:
     """Alexander polynomial of the (p, q) torus knot, symmetric form, for
-    coprime indices p, q >= 1 (an index 1 gives the unknot's 1).
+    coprime int indices p, q >= 1 (an index 1 gives the unknot's 1).
 
-    Read off the semigroup S = <p, q> of the sums ap + bq (a, b >= 0): it
-    holds every integer from 2g = (p - 1)(q - 1) on, and
+    With p the smaller index, p = 2 (q = 2k + 1) gives
+    D(t) = sum((-1)^i t^(k-i) for i in 0..2k), built as one list.  A larger
+    p reads it off the semigroup S = <p, q> of the sums ap + bq
+    (a, b >= 0): it holds every integer from 2g = (p - 1)(q - 1) on, and
     D(t) = sum(t^s - t^(s+1) for s in S, s < 2g) + t^2g, recentered so that
-    D(t) = D(1/t).  With p the smaller index, the members of S in the
-    residue class of iq mod p (i < p) are iq, iq + p, iq + 2p, ...; marking
-    those up to 2g takes one slice per class (one nonempty slice when
-    p = 2), and the coefficient of t^s is then [s in S] - [s - 1 in S].
+    D(t) = D(1/t).  The members of S in the residue class of iq mod p
+    (i < p) are iq, iq + p, iq + 2p, ...; marking those up to 2g takes one
+    slice per class, and the coefficient of t^s is then
+    [s in S] - [s - 1 in S].
     """
-    if p < 1 or q < 1 or math.gcd(p, q) != 1:
+    if type(p) is not int or type(q) is not int or p < 1 or q < 1 or math.gcd(p, q) != 1:
         raise ValueError(f"torus knot indices must be coprime integers >= 1, got ({p}, {q})")
     p, q = min(p, q), max(p, q)
+    if p == 2:
+        k = q // 2
+        return LaurentPoly._dense(-k, [1, -1] * k + [1])
     top = (p - 1) * (q - 1)
     member = bytearray(top + 1)
     for i in range(p):
         member[i * q :: p] = b"\1" * ((top - i * q) // p + 1)
-    # a list, which _dense copies once into a tuple: tuple(map(...)) would
-    # grow by reallocation, which raises exotic's peak RSS
     return LaurentPoly._dense(-top // 2, list(map(operator.sub, member, bytes(1) + member)))
 
 

@@ -651,8 +651,31 @@ def _dense_calls(draw):
     return (low if cs else 0), tuple(cs), symbol, den
 
 
+_MIN = algebra._ALTERNATING_MIN
+
+
+def _alternating_run(high, size, sign, step=2, symbol="t"):
+    # (low, cs, symbol, 1) for size coefficients sign, -sign, sign, ... from
+    # symbol^high down, every step-th power
+    cs = [0] * (step * (size - 1) + 1)
+    cs[::-step] = [sign, -sign] * (size // 2) + [sign] * (size % 2)
+    return high - step * (size - 1), tuple(cs), symbol, 1
+
+
+@st.composite
+def _alternating_calls(draw):
+    # a den-1 run of +-1 coefficients of alternating sign, as a torus-knot
+    # ledger's: either leading sign, every power or every other power, a
+    # length just below or at the slice path's threshold or longer, and its
+    # top near e = 0 and 1 or near 10^9, of either parity
+    size = draw(st.one_of(st.sampled_from([_MIN - 1, _MIN]), st.integers(1, 80)))
+    high = draw(st.one_of(st.integers(-100, 200), st.integers(10**9 - 100, 10**9 + 100)))
+    return _alternating_run(high, size, draw(st.sampled_from([1, -1])), draw(st.sampled_from([1, 2])),
+                            draw(st.sampled_from("tn")))
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_dense_calls(), min_size=1, max_size=8))
+@given(st.lists(st.one_of(_dense_calls(), _alternating_calls()), min_size=1, max_size=8))
 # grown upward, then downward, then upward past the last growth, then read
 # inside the range; then a range far above it, which is not stored
 @example([(0, (1,) * 5, "t", 1), (-40, (-1, 0) * 10 + (1,), "t", 1), (-3, (1, -1) * 30 + (1,), "t", 1),
@@ -663,7 +686,41 @@ def _dense_calls(draw):
 @example([(-3, (2, -1, 1, 0, -1, 1, -1), "t", 1)])
 @example([(-8, (1, 0, -1, 0, 1, 0, -2, 0, 1, 0, -1, 0, 1, 0, 1, 0, -1), "t", 1)])
 @example([(0, (-1, 1, 0, 1, -1, 10**40), "n", 1)])
+# alternating runs of every other power, grown upward, then downward, then
+# upward past the last growth and by one term past that, then read inside
+# the range; then a run near t^(10^9), which is not stored, and one of the
+# other parity
+@example([_alternating_run(8, 5, 1), _alternating_run(-2, 20, -1), _alternating_run(90, 9, 1),
+          _alternating_run(92, 12, -1), _alternating_run(30, 6, -1), _alternating_run(10**9, 40, 1),
+          _alternating_run(7, _MIN, -1)])
+# just below and at the threshold, both symbols, every power
+@example([_alternating_run(1, _MIN - 1, 1, 1, "n"), _alternating_run(1, _MIN, -1, 1, "n"),
+          _alternating_run(-5, _MIN - 1, -1, 1), _alternating_run(-5, _MIN, 1, 1)])
 def test_memoized_unit_terms_print_as_the_formatter_before_them(calls):
-    algebra._UNIT_TERMS.clear()  # each example grows the memo from empty
+    algebra._UNIT_TERMS.clear()  # each example grows the memos from empty
+    algebra._ALTERNATING.clear()
+    widest = 0
     for low, cs, symbol, den in calls:
         assert _format_dense(low, cs, symbol, den) == _reference_format_dense(low, cs, symbol, den)
+        widest = max(widest, len(cs))
+        # a range far from the stored one is not stored: each memo spans
+        # less than 4 times the widest polynomial printed, plus 64 terms
+        for bottom, top, *_ in algebra._UNIT_TERMS.values():
+            assert top - bottom < 4 * widest + 64
+        for (_, step, _), (bottom, top, *_) in algebra._ALTERNATING.items():
+            assert top - bottom < step * (4 * widest + 64)
+
+
+def test_alternating_runs_from_the_threshold_on_print_as_slices_of_a_memo():
+    algebra._ALTERNATING.clear()
+    short = _alternating_run(40, _MIN - 1, 1)
+    assert _format_dense(*short) == _reference_format_dense(*short)
+    assert not algebra._ALTERNATING
+    for run in (_alternating_run(40, _MIN, 1), _alternating_run(-2, 50, -1)):
+        assert _format_dense(*run) == _reference_format_dense(*run)
+    (key, (bottom, top, plus, minus, offsets)), = algebra._ALTERNATING.items()
+    assert key == ("t", 2, 0) and bottom <= -100 and top >= 40
+    assert len(offsets) == (top - bottom) // 2 + 2 and offsets[-1] == len(plus) == len(minus)
+    far = _alternating_run(10**9 + 1, 30, -1)
+    assert _format_dense(*far) == _reference_format_dense(*far)
+    assert algebra._ALTERNATING == {key: (bottom, top, plus, minus, offsets)}

@@ -134,6 +134,21 @@ def test_torus_knot_alexander_rejects_indices_with_a_common_factor(p, q):
         torus_knot_alexander(p, q)
 
 
+@pytest.mark.parametrize("p, q", [(2.0, 3), (2, 3.5), ("2", 3), (2, "3"), (True, 3), (2, True), (3, False)])
+def test_torus_knot_alexander_rejects_an_index_that_is_not_an_int(p, q):
+    with pytest.raises(ValueError, match=rf"coprime integers >= 1, got \({p}, {q}\)"):
+        torus_knot_alexander(p, q)
+
+
+def test_torus_knot_alexander_at_p_2_matches_division():
+    # the p = 2 polynomials, built as one alternating list, are the ones
+    # exact division gives, in both index orders
+    for q in range(3, 4002, 2):
+        expected = _reference_torus_knot_alexander(2, q)
+        assert torus_knot_alexander(2, q) == expected, q
+        assert torus_knot_alexander(q, 2) == expected, q
+
+
 def test_torus_knot_alexander_is_symmetric_in_its_indices():
     for p in range(2, 31):
         for q in range(p + 1, 31):
@@ -203,10 +218,10 @@ def test_torus_knot_polynomial_validated_when_materialized(monkeypatch):
     }
     for message, poly in bad.items():
         monkeypatch.setattr(knots, "torus_knot_alexander", lambda p, q, poly=poly: poly)
-        knot = torus_knot(2, 7)
-        for _ in range(2):
-            with pytest.raises(ValueError, match=message):
-                knot.alexander
+        for knot in (torus_knot(2, 3), torus_knot(2, 7), torus_knot(2, 4001), torus_knot(3, 4)):
+            for _ in range(2):
+                with pytest.raises(ValueError, match=message):
+                    knot.alexander
 
 
 def test_twist_family():
